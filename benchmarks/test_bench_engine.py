@@ -5,7 +5,7 @@ candidate evaluation* — "which holders of skill s are compatible with the
 current team?", the inner question of Algorithm 2 — over the legacy per-pair
 ``are_compatible`` loop, on a Table-2-scale workload (a ~50k-node synthetic
 signed network with a Zipf skill assignment).  Both sides run the same CSR
-BFS backend; the measured difference is one lockstep team BFS plus vectorised
+BFS backend; the measured difference is one multi-source team BFS plus vectorised
 pair-rule masks versus one Python-level pair check per (member, candidate).
 
 The multi-source kernel and the SBPH (node, sign)-state search get their own
@@ -110,9 +110,9 @@ def test_engine_candidate_evaluation_speedup_at_least_4x(workload):
 def test_perf_multi_source_signed_bfs_50k(benchmark, workload):
     """Batched multi-source Algorithm 1 over 32 sources of the 50k graph.
 
-    Above :data:`repro.signed.csr.LOCKSTEP_NODE_THRESHOLD` the kernel
-    dispatches to cache-friendly per-source traversals; this entry tracks
-    whatever strategy the dispatcher picks at this scale.
+    The 32 sources fill one word past
+    :data:`repro.signed.csr.WORDPARALLEL_MIN_SOURCES`, so today this runs
+    word-parallel; the entry tracks whatever strategy the dispatcher picks.
     """
     graph, _team, _pools = workload
     csr = graph.csr_view()
@@ -125,7 +125,7 @@ def test_perf_multi_source_signed_bfs_50k(benchmark, workload):
 
 @pytest.fixture(scope="module")
 def small_graph():
-    """A graph inside the lockstep regime (below LOCKSTEP_NODE_THRESHOLD)."""
+    """A 2k-node graph, the size of the churn benchmark's graph."""
     graph, _ = synthetic_signed_network(
         2_000, average_degree=6.0, negative_fraction=0.2, seed=7
     )
@@ -133,20 +133,28 @@ def small_graph():
     return graph
 
 
-@pytest.mark.benchmark(group="perf-lockstep")
-def test_perf_lockstep_multi_source_small_graph(benchmark, small_graph):
-    """Lockstep k x n frontier batch over 64 sources of a 2k-node graph."""
+@pytest.mark.benchmark(group="perf-multi-source-dispatch")
+def test_perf_dispatcher_multi_source_small_graph(benchmark, small_graph):
+    """The multi-source dispatcher over 64 sources of a 2k-node graph.
+
+    Its rows must be identical to the per-source loop's (timed below).
+    """
     csr = small_graph.csr_view()
     sources = small_graph.nodes()[:64]
     results = benchmark.pedantic(
         multi_source_signed_bfs, args=(csr, sources), rounds=3, iterations=1
     )
     assert len(results) == len(sources)
+    for source, result in zip(sources, results):
+        single = signed_bfs_csr(csr, source)
+        assert (result.lengths_array == single.lengths_array).all()
+        assert (result.positive_array == single.positive_array).all()
+        assert (result.negative_array == single.negative_array).all()
 
 
-@pytest.mark.benchmark(group="perf-lockstep")
+@pytest.mark.benchmark(group="perf-multi-source-dispatch")
 def test_perf_source_loop_small_graph(benchmark, small_graph):
-    """The per-source loop the lockstep batch replaces (same 64 sources)."""
+    """The per-source loop over the same 64 sources."""
     csr = small_graph.csr_view()
     sources = small_graph.nodes()[:64]
     results = benchmark.pedantic(

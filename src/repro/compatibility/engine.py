@@ -17,12 +17,12 @@ kernels queries instead:
   :meth:`distances_to_team_many` and prefetch compatible sets through
   :meth:`compatible_sets`;
 * the generic Algorithm 2 warms the seed users' per-source computations in
-  one lockstep batch (:meth:`warm`);
+  one batch (:meth:`warm`);
 * the experiment harness routes its sampled pair statistics through
   :meth:`compatibility_degrees`.
 
 The engine decides per relation and backend how to serve each query: SP*
-relations on the CSR backend answer team filters with one lockstep
+relations on the CSR backend answer team filters with one batched
 multi-source BFS plus a vectorised pair-rule mask; every other relation (and
 the ``batched=False`` legacy mode) falls back to exactly the per-pair loop the
 call sites used before, so results are identical by construction — the
@@ -184,7 +184,7 @@ class CompatibilityEngine:
     def compatible_sets(self, sources: Sequence[Node]) -> List[FrozenSet[Node]]:
         """Compatible sets for many sources through the relation's batch path.
 
-        SP* relations resolve uncached sources with one lockstep multi-source
+        SP* relations resolve uncached sources with one batched multi-source
         BFS; balanced relations share one reverse sweep; the rest loop.  Each
         set equals :meth:`compatible_set` exactly.
         """
@@ -203,7 +203,7 @@ class CompatibilityEngine:
     def warm(self, sources: Sequence[Node], distances: bool = True) -> None:
         """Prefetch per-source computations the coming queries will need.
 
-        For SP* relations on the CSR backend this runs one lockstep
+        For SP* relations on the CSR backend this runs one batched
         multi-source BFS over the uncached sources (bounded by the BFS cache
         size, so a huge seed list cannot churn the cache).  The matching
         distance maps are warmed alongside only when ``distances`` is true —
@@ -403,7 +403,7 @@ class CompatibilityEngine:
         the precomputed label index (building or delta-refreshing it lazily
         for the current generation) and only falls back to BFS sweeps on a
         miss or an untight landmark bound.  Otherwise the team's distance
-        maps are computed in one lockstep sweep and the per-candidate maxima
+        maps are computed in one batched sweep and the per-candidate maxima
         are taken with array indexing on the CSR backend.  Values equal the
         per-candidate calls exactly in every mode.
         """

@@ -188,7 +188,7 @@ def source_sampled_pair_statistics(
     compatible-pair indicator is symmetric in the pair.
 
     The sample is answered through the relation's batched strategy: the SP*
-    family runs one lockstep multi-source CSR BFS, the balanced relations
+    family runs one batched multi-source CSR BFS, the balanced relations
     resolve the whole sample with one shared reverse sweep, and the
     base-class default loops ``compatible_with``.  Passing an ``engine``
     routes the sweep through

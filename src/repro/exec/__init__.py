@@ -2,7 +2,7 @@
 
 One :class:`ExecutionPolicy` object bundles every knob that used to travel as
 loose keyword arguments through the compatibility stack — backend choice,
-lockstep/auto thresholds, cache budgets — and adds the worker-pool dimension:
+the auto-backend threshold, cache budgets — and adds the worker-pool dimension:
 ``workers >= 2`` dispatches per-source kernel batches (signed BFS, distance
 sweeps, balanced-path searches) to a persistent process pool that receives
 frozen CSR snapshots zero-copy through ``multiprocessing.shared_memory``.

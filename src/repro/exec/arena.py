@@ -181,7 +181,7 @@ def write_chunk(
 
 
 def _write_signed_bfs(planes, start, csr, sources, params) -> List:
-    from repro.signed.csr import DEFAULT_BATCH_CHUNK, signed_bfs_dense_batch_into
+    from repro.signed.csr import signed_bfs_dense_batch_into
 
     stop = start + len(sources)
     return signed_bfs_dense_batch_into(
@@ -190,25 +190,15 @@ def _write_signed_bfs(planes, start, csr, sources, params) -> List:
         planes[0][start:stop],
         planes[1][start:stop],
         planes[2][start:stop],
-        chunk_size=params.get("lockstep_chunk") or DEFAULT_BATCH_CHUNK,
         skip_overflow=params.get("skip_overflow", True),
-        lockstep_threshold=params.get("lockstep_threshold"),
     )
 
 
 def _write_path_lengths(planes, start, csr, sources, params) -> List:
-    from repro.signed.csr import (
-        DEFAULT_BATCH_CHUNK,
-        shortest_path_lengths_dense_batch_into,
-    )
+    from repro.signed.csr import shortest_path_lengths_dense_batch_into
 
-    stop = start + len(sources)
     return shortest_path_lengths_dense_batch_into(
-        csr,
-        sources,
-        planes[0][start:stop],
-        chunk_size=params.get("lockstep_chunk") or DEFAULT_BATCH_CHUNK,
-        lockstep_threshold=params.get("lockstep_threshold"),
+        csr, sources, planes[0][start : start + len(sources)]
     )
 
 

@@ -59,47 +59,26 @@ def csr_signed_bfs(csr, sources: Sequence[int], params: dict) -> List:
     """Algorithm 1 from many dense sources: ``(lengths, positive, negative)``
     array triples (``None`` marks an int64 overflow for the caller's dict
     fallback)."""
-    from repro.signed.csr import DEFAULT_BATCH_CHUNK, signed_bfs_dense_batch
+    from repro.signed.csr import signed_bfs_dense_batch
 
     return signed_bfs_dense_batch(
-        csr,
-        sources,
-        chunk_size=params.get("lockstep_chunk") or DEFAULT_BATCH_CHUNK,
-        skip_overflow=params.get("skip_overflow", True),
-        lockstep_threshold=params.get("lockstep_threshold"),
+        csr, sources, skip_overflow=params.get("skip_overflow", True)
     )
 
 
 @register_kernel("csr_path_lengths")
 def csr_path_lengths(csr, sources: Sequence[int], params: dict) -> List:
     """Sign-agnostic BFS distances from many dense sources (one array each)."""
-    from repro.signed.csr import DEFAULT_BATCH_CHUNK, shortest_path_lengths_dense_batch
+    from repro.signed.csr import shortest_path_lengths_dense_batch
 
-    return shortest_path_lengths_dense_batch(
-        csr,
-        sources,
-        chunk_size=params.get("lockstep_chunk") or DEFAULT_BATCH_CHUNK,
-        lockstep_threshold=params.get("lockstep_threshold"),
-    )
+    return shortest_path_lengths_dense_batch(csr, sources)
 
 
-@register_kernel("build_labels")
-def build_labels(csr, sources: Sequence[int], params: dict) -> List:
-    """Landmark BFS rows for the distance-label index, one per dense source.
-
-    Same computation as ``csr_path_lengths`` — a sign-agnostic distance array
-    per source — registered under its own name so the label build can be
-    dispatched, arena-shipped, and accounted separately from ad-hoc distance
-    sweeps (see :mod:`repro.signed.labels`).
-    """
-    from repro.signed.csr import DEFAULT_BATCH_CHUNK, shortest_path_lengths_dense_batch
-
-    return shortest_path_lengths_dense_batch(
-        csr,
-        sources,
-        chunk_size=params.get("lockstep_chunk") or DEFAULT_BATCH_CHUNK,
-        lockstep_threshold=params.get("lockstep_threshold"),
-    )
+# Landmark BFS rows for the distance-label index: the same sign-agnostic
+# distance array per source, registered under its own name so the label build
+# is dispatched, arena-shipped and accounted apart from ad-hoc distance sweeps
+# (see repro.signed.labels).
+register_kernel("build_labels", csr_path_lengths)
 
 
 @register_kernel("csr_sbph")
@@ -131,12 +110,7 @@ def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
     from repro.signed.csr import UNREACHABLE, signed_bfs_dense_batch
 
     rule = _pair_rule_mask_for(params["rule"])
-    triples = signed_bfs_dense_batch(
-        csr,
-        sources,
-        skip_overflow=True,
-        lockstep_threshold=params.get("lockstep_threshold"),
-    )
+    triples = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
     counts: List = []
     for source, triple in zip(sources, triples):
         if triple is None:
@@ -167,12 +141,7 @@ def csr_compatible_masks(csr, sources: Sequence[int], params: dict) -> List:
     from repro.utils.bitset import pack_mask
 
     rule = _pair_rule_mask_for(params["rule"])
-    triples = signed_bfs_dense_batch(
-        csr,
-        sources,
-        skip_overflow=True,
-        lockstep_threshold=params.get("lockstep_threshold"),
-    )
+    triples = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
     masks: List = []
     for source, triple in zip(sources, triples):
         if triple is None:

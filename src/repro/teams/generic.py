@@ -66,7 +66,7 @@ def form_team(
     # Every seed becomes the first team member, so its per-source computation
     # (one signed BFS under the SP* relations) is needed by the very first
     # candidate filter of its growth loop; warming them through the engine
-    # runs one lockstep multi-source batch instead of one BFS per seed.
+    # runs one multi-source batch instead of one BFS per seed.
     # Distance maps are only prefetched for policies that score by distance.
     problem.engine.warm(seeds, distances=user_policy.uses_team_distances)
 

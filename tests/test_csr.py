@@ -268,9 +268,9 @@ class TestOtherKernels:
     @pytest.mark.parametrize("seed", range(3))
     def test_write_into_batches_match_allocating_batches(self, seed):
         """The ``*_into`` cores (result shipping) fill caller buffers with the
-        exact bytes the allocating batches return — including through
-        non-contiguous buffers, which must route around the lockstep reshape
-        instead of silently writing into a copy."""
+        exact bytes the allocating batches return — including non-contiguous
+        buffers such as column slices, whose rows must be written in place
+        rather than into a temporary copy."""
         from repro.signed.csr import (
             shortest_path_lengths_dense_batch,
             shortest_path_lengths_dense_batch_into,
@@ -285,12 +285,12 @@ class TestOtherKernels:
         k = len(dense)
         expected = signed_bfs_dense_batch(csr, dense)
         buffers = [
-            (  # contiguous: the lockstep fast path
+            (  # contiguous rows
                 np.empty((k, n), dtype=np.int32),
                 np.empty((k, n), dtype=np.int64),
                 np.empty((k, n), dtype=np.int64),
             ),
-            (  # non-contiguous column slices: must take the per-source path
+            (  # non-contiguous column slices
                 np.empty((k, n + 3), dtype=np.int32)[:, :n],
                 np.empty((k, n + 3), dtype=np.int64)[:, :n],
                 np.empty((k, n + 3), dtype=np.int64)[:, :n],

@@ -3,8 +3,8 @@
 Three layers are pinned against their legacy per-pair / per-source
 counterparts, bit for bit:
 
-* the lockstep multi-source CSR kernels against per-source runs and the dict
-  reference implementations;
+* the multi-source CSR kernels (word-parallel and per-source) against
+  single-source runs and the dict reference implementations;
 * the SBPH (node, sign)-state CSR search against the per-edge dict search;
 * the full team-formation algorithms (LCMD / LCMC / RFMD / RFMC) through the
   engine against the legacy per-pair path, on random, synthetic-topology and
@@ -19,6 +19,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.compatibility import (
@@ -34,10 +35,13 @@ from repro.compatibility.shortest_path import (
 from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_dataset
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
+    WORDPARALLEL_MIN_SOURCES,
     balanced_heuristic_search_csr,
     multi_source_shortest_path_lengths_csr,
     multi_source_signed_bfs,
+    shortest_path_lengths_dense_batch_into,
     signed_bfs_csr,
+    signed_bfs_dense_batch_into,
     CSRLengths,
 )
 from repro.signed.generators import planted_factions_graph
@@ -221,7 +225,21 @@ class TestDistancesToTeamMany:
 
 
 class TestBatchedKernels:
-    """Lockstep multi-source kernels are bit-identical to per-source runs."""
+    """Multi-source kernels are bit-identical to per-source runs.
+
+    Source counts straddle the word-parallel crossover and the 64-bit word
+    boundary, and every batch repeats a source, so both strategies, a
+    multi-word batch and its short tail word are all exercised.
+    """
+
+    COUNTS = (1, WORDPARALLEL_MIN_SOURCES - 1, WORDPARALLEL_MIN_SOURCES, 64, 65)
+
+    @staticmethod
+    def _sources(graph, count, rng):
+        sources = rng.choices(graph.nodes(), k=count)
+        if count > 1:
+            sources[-1] = sources[0]
+        return sources
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_multi_source_signed_bfs_matches_single_source(self, seed):
@@ -229,15 +247,26 @@ class TestBatchedKernels:
             45, average_degree=4.0, sign_noise=0.15, seed=seed
         )
         csr = graph.csr_view()
+        n = csr.number_of_nodes()
         rng = random.Random(seed)
-        sources = rng.sample(graph.nodes(), 9)
-        for chunk_size in (1, 4, 64):
-            batched = multi_source_signed_bfs(csr, sources, chunk_size=chunk_size)
-            for source, result in zip(sources, batched):
+        for count in self.COUNTS:
+            sources = self._sources(graph, count, rng)
+            dense = [csr.index_of(source) for source in sources]
+            batched = multi_source_signed_bfs(csr, sources)
+            lengths = np.empty((count, n), dtype=np.int32)
+            positive = np.empty((count, n), dtype=np.int64)
+            negative = np.empty((count, n), dtype=np.int64)
+            tokens = signed_bfs_dense_batch_into(csr, dense, lengths, positive, negative)
+            assert tokens == [True] * count
+            for row, (source, result) in enumerate(zip(sources, batched)):
                 single = signed_bfs_csr(csr, source)
-                assert (result.lengths_array == single.lengths_array).all()
-                assert (result.positive_array == single.positive_array).all()
-                assert (result.negative_array == single.negative_array).all()
+                for got in (
+                    (result.lengths_array, result.positive_array, result.negative_array),
+                    (lengths[row], positive[row], negative[row]),
+                ):
+                    assert (got[0] == single.lengths_array).all()
+                    assert (got[1] == single.positive_array).all()
+                    assert (got[2] == single.negative_array).all()
                 reference = signed_bfs(graph, source)
                 converted = result.to_signed_bfs_result()
                 assert converted.lengths == reference.lengths
@@ -257,18 +286,17 @@ class TestBatchedKernels:
             45, average_degree=4.0, sign_noise=0.15, seed=seed
         )
         csr = graph.csr_view()
-        sources = graph.nodes()[:7]
-        arrays = multi_source_shortest_path_lengths_csr(csr, sources, chunk_size=3)
-        for source, lengths in zip(sources, arrays):
-            view = CSRLengths(csr, lengths)
-            assert dict(view.items()) == shortest_path_lengths(graph, source)
-
-    def test_chunk_size_must_be_positive(self, two_factions):
-        csr = two_factions.csr_view()
-        with pytest.raises(ValueError):
-            multi_source_signed_bfs(csr, [0], chunk_size=0)
-        with pytest.raises(ValueError):
-            multi_source_shortest_path_lengths_csr(csr, [0], chunk_size=-1)
+        rng = random.Random(seed)
+        for count in self.COUNTS:
+            sources = self._sources(graph, count, rng)
+            arrays = multi_source_shortest_path_lengths_csr(csr, sources)
+            out = np.empty((count, csr.number_of_nodes()), dtype=np.int32)
+            dense = [csr.index_of(source) for source in sources]
+            assert shortest_path_lengths_dense_batch_into(csr, dense, out) == [True] * count
+            for row, (source, lengths) in enumerate(zip(sources, arrays)):
+                expected = shortest_path_lengths(graph, source)
+                assert dict(CSRLengths(csr, lengths).items()) == expected
+                assert dict(CSRLengths(csr, out[row]).items()) == expected
 
 
 class TestSBPHCSRSearch:

@@ -552,36 +552,48 @@ class TestWordParallelKernels:
         assert fast[0][2] == UNREACHABLE
 
     def test_adaptive_heuristic_engages_above_threshold(self, wp_graph, monkeypatch):
+        """One rule picks the strategy, per 64-source word and whatever the
+        graph size: word-parallel iff the word holds at least
+        WORDPARALLEL_MIN_SOURCES sources."""
         import repro.signed.csr as csr_module
+        from repro.signed.csr import WORDPARALLEL_MIN_SOURCES
 
-        calls = []
-        original = csr_module._wordparallel_path_lengths_into
-
-        def recording(csr, chunk, out):
-            calls.append(len(chunk))
-            return original(csr, chunk, out)
-
-        monkeypatch.setattr(
-            csr_module, "_wordparallel_path_lengths_into", recording
-        )
         sources = list(range(100))
-        # Below the node threshold: stays on the batched/lockstep path.
-        shortest_path_lengths_dense_batch(wp_graph, sources)
-        assert calls == []
-        # Above it (threshold forced down): word-parallel chunks of <= 64.
-        shortest_path_lengths_dense_batch(wp_graph, sources, lockstep_threshold=10)
-        assert calls == [64, 36]
-        calls.clear()
-        # Too few sources to pay the bitmap setup: per-source path.
-        shortest_path_lengths_dense_batch(
-            wp_graph, sources[:4], lockstep_threshold=10
-        )
-        assert calls == []
+        for batch, core in (
+            (shortest_path_lengths_dense_batch, "_wordparallel_path_lengths_into"),
+            (signed_bfs_dense_batch, "_wordparallel_signed_bfs_into"),
+        ):
+            calls = []
+            original = getattr(csr_module, core)
 
-    def test_overflow_falls_back_per_source(self):
-        """A doubling ladder pushes shortest-path counts past int64 inside
-        the word-parallel kernel; the chunk must re-run per source and land
-        on the identical skip/raise behaviour as the reference."""
+            def recording(csr, chunk, *out, original=original, calls=calls):
+                calls.append(len(chunk))
+                return original(csr, chunk, *out)
+
+            monkeypatch.setattr(csr_module, core, recording)
+            batch(wp_graph, sources)
+            assert calls == [64, 36]
+            calls.clear()
+            batch(wp_graph, sources[:WORDPARALLEL_MIN_SOURCES])
+            assert calls == [WORDPARALLEL_MIN_SOURCES]
+            calls.clear()
+            # Below the crossover, alone or as the tail word: per-source.
+            batch(wp_graph, sources[: WORDPARALLEL_MIN_SOURCES - 1])
+            assert calls == []
+            batch(wp_graph, sources[: 64 + WORDPARALLEL_MIN_SOURCES - 1])
+            assert calls == [64]
+            calls.clear()
+            # The wordparallel= pin overrides the rule both ways.
+            batch(wp_graph, sources, wordparallel=False)
+            assert calls == []
+            batch(wp_graph, sources[:1], wordparallel=True)
+            assert calls == [1]
+
+    @staticmethod
+    def _doubling_ladder():
+        """A 66-layer ladder whose shortest-path counts double per layer, so
+        they pass int64 after 63 layers; returns the snapshot and the three
+        sources the overflow tests start from."""
         edges = []
         previous = ["s"]
         for layer in range(66):
@@ -590,9 +602,14 @@ class TestWordParallelKernels:
                 for parent in previous:
                     edges.append((parent, node, +1))
             previous = current
-        graph = SignedGraph.from_edges(edges)
-        csr = graph.csr_view()
-        sources = [csr.index_of("s"), csr.index_of((0, 0)), csr.index_of((65, 0))]
+        csr = SignedGraph.from_edges(edges).csr_view()
+        return csr, [csr.index_of("s"), csr.index_of((0, 0)), csr.index_of((65, 0))]
+
+    def test_overflow_falls_back_per_source(self):
+        """A doubling ladder pushes shortest-path counts past int64 inside
+        the word-parallel kernel; the chunk must re-run per source and land
+        on the identical skip/raise behaviour as the reference."""
+        csr, sources = self._doubling_ladder()
         with pytest.raises(OverflowError):
             signed_bfs_dense_batch(csr, sources, wordparallel=True)
         fast = signed_bfs_dense_batch(
@@ -607,6 +624,29 @@ class TestWordParallelKernels:
                 continue
             for a, b in zip(f, s):
                 assert np.array_equal(a, b)
+
+    def test_overflow_guard_bound_and_messages(self):
+        """Both signed cores stop at the same int64 bound, each with its own
+        message, and the ``_into`` form marks exactly the overflowing rows."""
+        import repro.signed.csr as csr_module
+
+        csr, sources = self._doubling_ladder()
+        # From the middle layer no path is longer than 34 edges: no overflow.
+        sources.append(csr.index_of((33, 0)))
+        n = csr.number_of_nodes()
+        bound = (2**63 - 1) // int(csr.degrees().max())
+        buffers = [np.empty((4, n), dtype=dtype) for dtype in (np.int32, np.int64, np.int64)]
+        with pytest.raises(OverflowError, match=rf"\({bound}\) at BFS depth \d+; use the dict"):
+            csr_module._signed_bfs_arrays_into(csr, sources[0], *(b[0] for b in buffers))
+        with pytest.raises(
+            OverflowError, match=rf"\({bound}\) at BFS depth \d+ in a word-parallel"
+        ):
+            csr_module._wordparallel_signed_bfs_into(csr, sources[:3], *buffers)
+        allocated = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
+        tokens = signed_bfs_dense_batch_into(csr, sources, *buffers, skip_overflow=True)
+        assert tokens == [None if triple is None else True for triple in allocated]
+        assert tokens[3] is True
+        assert np.array_equal(buffers[1][3], allocated[3][1])
 
     def test_multi_source_wrapper_unaffected(self, wp_graph):
         """The node-keyed wrapper sits above the dense batch and must agree
