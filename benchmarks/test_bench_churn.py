@@ -29,9 +29,7 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.datasets import synthetic_csr_network
 from repro.experiments.streaming import apply_edge_churn

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.datasets import synthetic_csr_network
@@ -32,8 +33,6 @@ from repro.signed.csr import CSRSignedGraph
 from repro.signed.io import read_edge_list
 from repro.signed.ingest import parse_edge_list_csr
 from repro.utils.timing import measure_peak_rss
-
-np = pytest.importorskip("numpy")
 
 #: Size of the gated benchmark graph (nodes; ~NUM_NODES*5 undirected edges).
 NUM_NODES = 200_000

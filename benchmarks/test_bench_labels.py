@@ -28,19 +28,17 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.compatibility import DistanceOracle, make_relation
 from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, executor_for, shutdown_pools
-
-np = pytest.importorskip("numpy")
-
-from repro.signed.csr import (  # noqa: E402  (needs numpy)
+from repro.signed.csr import (
     UNREACHABLE,
     shortest_path_lengths_dense_batch,
 )
-from repro.signed.labels import (  # noqa: E402
+from repro.signed.labels import (
     build_label_index,
     labels_equal,
 )

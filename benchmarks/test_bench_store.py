@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.datasets import synthetic_signed_network
@@ -37,8 +38,6 @@ from repro.signed.csr import (
 )
 from repro.signed.io import read_edge_list
 from repro.signed.store import load_snapshot, save_snapshot
-
-np = pytest.importorskip("numpy")
 
 #: Size of the benchmark graph (the paper's Epinions/Slashdot class).
 NUM_NODES = 50_000

@@ -2,9 +2,9 @@
 
 Nine PRs of scaling work left this repository resting on a set of
 hand-maintained correctness contracts — "every adjacency write bumps the
-generation", "every shared-memory segment lands on the crash ledger", "numpy
-is only imported behind the lazy gate" — that previously lived in reviewers'
-heads and scattered tests.  This package encodes them as AST-level lint rules
+generation", "every shared-memory segment lands on the crash ledger", "every
+CSR kernel has a dict-backend equivalent" — that previously lived in
+reviewers' heads and scattered tests.  This package encodes them as AST-level lint rules
 that run in CI (``repro-teams analyze`` / ``python -m repro.analysis``), so a
 new kernel, mutation path or publish mode cannot silently violate them.
 
@@ -22,9 +22,9 @@ Layout:
 * :mod:`repro.analysis.cli` — the ``analyze`` entry point shared by
   ``repro-teams analyze`` and ``python -m repro.analysis``.
 
-The package is dependency-free (stdlib ``ast`` only) and numpy-free by
-construction — the analyzer must run on any install the library itself runs
-on, including the degraded dict-backend one.
+The rules themselves use only the stdlib ``ast`` module, but running the
+analyzer imports the ``repro`` package, so it needs the library's own
+dependencies (numpy, networkx) installed.
 """
 
 from repro.analysis.core import (

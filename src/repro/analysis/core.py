@@ -3,9 +3,8 @@
 Deliberately small — a :class:`Finding` record, a :class:`Rule` base class
 with a registry, a parsed-module context, and a driver that runs every rule
 over every module and then gives cross-module rules one ``finalize`` pass
-over the whole project.  Everything is stdlib ``ast``; no third-party
-dependency may creep in here (the analyzer gates CI on numpy-free installs
-too).
+over the whole project.  Everything is stdlib ``ast``: the rules parse
+source text and never import the modules they check.
 """
 
 from __future__ import annotations

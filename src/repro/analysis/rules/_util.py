@@ -12,7 +12,6 @@ __all__ = [
     "contains_call_to",
     "keyword_value",
     "string_constants",
-    "walk_no_functions",
 ]
 
 
@@ -75,16 +74,3 @@ def string_constants(node: ast.AST) -> List[str]:
         for sub in ast.walk(node)
         if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
     ]
-
-
-def walk_no_functions(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into function bodies.
-
-    Class bodies *are* descended into — statements there execute at import
-    time, which is exactly what the import-discipline rules care about.
-    """
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield from walk_no_functions(child)

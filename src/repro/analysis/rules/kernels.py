@@ -5,9 +5,8 @@ Two parity obligations, both cross-module (a :meth:`finalize` rule):
 1. **Serial equivalence.**  Every registered non-``dict_*`` kernel must have
    a declared serial equivalent in ``repro.exec.kernels.SERIAL_EQUIVALENTS``
    whose value is itself a registered ``dict_*`` kernel.  That table is the
-   degradation contract: when numpy or the pool is missing, the mapped dict
-   kernel must be able to answer for its CSR counterpart, and the
-   equivalence tests key off the same table.
+   reference contract: the mapped dict kernel answers for its CSR
+   counterpart when a payload has no CSR view.
 2. **Arena shipping.**  The sets in ``repro.exec.arena`` must agree with
    each other and with the registry: every ``_ARENA_KERNELS`` member is a
    registered kernel with a ``_WRITERS`` entry (and vice versa), and every
@@ -157,7 +156,7 @@ class KernelRegistryParityRule(Rule):
                     table,
                     f"SERIAL_EQUIVALENTS maps {name!r} to {serial!r}, which "
                     "is not a dict_* kernel: serial equivalents must run on "
-                    "the dict backend without numpy",
+                    "the dict backend, the reference the CSR kernels match",
                 )
         for name in sorted(mapped):
             if name not in registered:

@@ -13,7 +13,8 @@ Installed as ``repro-teams`` (see ``pyproject.toml``); also runnable as
 * ``snapshot save|load|info`` — write a dataset's indexed graph to a
   ``.store`` snapshot file (``--labels`` also persists a distance-label
   index), load one back (memory-mapped by default), or inspect a file's
-  header and plane layout without numpy (``info --json`` for machines);
+  header and plane layout without loading any plane (``info --json`` for
+  machines);
 * ``analyze`` — run the project's invariant lint rules (stdlib-AST static
   analysis, see :mod:`repro.analysis`) over the source tree; ``--strict``
   is the CI gate, ``--json`` emits the ``analysis.json`` artifact.
@@ -56,6 +57,9 @@ from repro.experiments import (
     run_streaming,
     run_table2,
 )
+from repro.signed.csr import CSRSignedGraph
+from repro.signed.labels import build_label_index
+from repro.signed.store import load_snapshot, save_snapshot, snapshot_info
 from repro.skills import Task
 from repro.teams import ALGORITHM_NAMES, TeamFormationProblem, run_algorithm
 from repro.utils.tables import format_table
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read the planes into memory instead of memory-mapping them",
     )
     snapshot_info_parser = snapshot_subparsers.add_parser(
-        "info", help="print a snapshot's header and plane layout (numpy-free)"
+        "info", help="print a snapshot's header and plane layout (header only)"
     )
     snapshot_info_parser.add_argument("path", type=_snapshot_file_argument)
     snapshot_info_parser.add_argument(
@@ -582,9 +586,6 @@ def _command_streaming(arguments: argparse.Namespace) -> int:
 
 def _command_snapshot(arguments: argparse.Namespace) -> int:
     if arguments.snapshot_command == "save":
-        from repro.signed.csr import CSRSignedGraph
-        from repro.signed.store import save_snapshot, snapshot_info
-
         dataset = load_dataset(
             arguments.dataset, seed=arguments.seed, scale=arguments.scale
         )
@@ -596,8 +597,6 @@ def _command_snapshot(arguments: argparse.Namespace) -> int:
             csr = CSRSignedGraph.from_signed_graph(graph)
         labels = None
         if arguments.labels is not None:
-            from repro.signed.labels import build_label_index
-
             labels = build_label_index(csr, mode=arguments.labels)
         save_snapshot(csr, arguments.path, labels=labels)
         info = snapshot_info(arguments.path)
@@ -614,8 +613,6 @@ def _command_snapshot(arguments: argparse.Namespace) -> int:
             )
         return 0
     if arguments.snapshot_command == "load":
-        from repro.signed.store import load_snapshot
-
         csr = load_snapshot(arguments.path, mmap=not arguments.no_mmap)
         mode = "read into memory" if arguments.no_mmap else "memory-mapped"
         print(
@@ -623,8 +620,6 @@ def _command_snapshot(arguments: argparse.Namespace) -> int:
             f"{csr.number_of_edges()} edges, generation {csr.generation}"
         )
         return 0
-    from repro.signed.store import snapshot_info
-
     info = snapshot_info(arguments.path)
     if arguments.json:
         import json

@@ -37,7 +37,7 @@ per-edge dict search (:meth:`~repro.signed.paths.BalancedPathSearch.search_heuri
 and the indexed (node, sign)-state CSR BFS
 (:func:`repro.signed.csr.balanced_heuristic_search_csr`), which vectorises
 frontier expansion and visited-state filtering.  ``backend="auto"`` (default)
-uses the CSR search on large graphs when numpy is available; the exact SBP
+uses the CSR search on large graphs; the exact SBP
 enumeration always runs on the dict machinery.
 """
 
@@ -47,6 +47,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set
 
 from repro.compatibility.base import CacheSize, CompatibilityRelation, resolve_cache_size
 from repro.exec.policy import POLICY_DEFAULT, ExecutionPolicy, resolve_policy
+from repro.signed.csr import balanced_result_from_depths
 from repro.signed.graph import NEGATIVE, Node, SignedGraph
 from repro.signed.paths import (
     INFINITY,
@@ -56,7 +57,6 @@ from repro.signed.paths import (
 )
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
 
 #: Default bound on the number of cached per-source balanced-path results.
 #: Sized to hold a full sweep of graphs up to its own size (the symmetric
@@ -100,8 +100,6 @@ class _BalancedPathRelation(CompatibilityRelation):
         )
         super().__init__(graph, policy=policy)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
-        if policy.backend == "csr":
-            require_numpy("backend='csr'")
         self._search = BalancedPathSearch(
             graph, max_length=max_path_length, max_expansions=max_expansions
         )
@@ -155,12 +153,7 @@ class _BalancedPathRelation(CompatibilityRelation):
             return True
         if self._policy.backend == "dict":
             return False
-        if self._graph.number_of_nodes() < self.CSR_SEARCH_THRESHOLD:
-            return False
-        if not numpy_available():
-            warn_numpy_missing(f"{self.name} backend='auto'")
-            return False
-        return True
+        return self._graph.number_of_nodes() >= self.CSR_SEARCH_THRESHOLD
 
     def _search_from(self, source: Node) -> BalancedPathResult:
         self._prune_truncated()
@@ -214,8 +207,6 @@ class _BalancedPathRelation(CompatibilityRelation):
         """
         executor = self._executor()
         if self._use_csr_search():
-            from repro.signed.csr import balanced_result_from_depths
-
             csr = self._graph.csr_view()
             raw = executor.map_kernel(
                 "csr_sbph",

@@ -33,6 +33,7 @@ from repro.exec.policy import (
     resolve_policy,
 )
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
+from repro.signed.lazy import as_signed_graph
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, scaled_cache_size
 
@@ -96,8 +97,6 @@ class CompatibilityRelation(abc.ABC):
             # Bare CSR snapshots (CSR-first ingestion) are adapted to the
             # canonical lazy facade; the dict backend only materialises if a
             # dict-only code path is actually exercised.
-            from repro.signed.lazy import as_signed_graph
-
             graph = as_signed_graph(graph)
         self._graph = graph
         self._policy = resolve_policy(

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.compatibility.balanced import _BalancedPathRelation
 from repro.compatibility.base import CacheSize, CompatibilityRelation, resolve_cache_size
 from repro.compatibility.shortest_path import CSR_AUTO_THRESHOLD, _ShortestPathRelation
@@ -39,11 +41,16 @@ from repro.exec.policy import (
     executor_for,
     resolve_policy,
 )
+from repro.signed.csr import UNREACHABLE, CSRLengths, shortest_path_lengths_csr
 from repro.signed.graph import Node, SignedGraph
+from repro.signed.labels import (
+    build_label_index,
+    refresh_label_index,
+    register_snapshot_labels,
+)
 from repro.signed.paths import INFINITY, shortest_path_lengths
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available, warn_numpy_missing
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
 
@@ -65,10 +72,10 @@ class DistanceOracle:
     its batched sweeps run on the same executor — under a pool policy the
     team's distance maps are computed by worker processes.  Otherwise it
     switches to the indexed CSR backend at
-    :data:`~repro.compatibility.shortest_path.CSR_AUTO_THRESHOLD` nodes when
-    numpy is available.  :meth:`warm` and :meth:`batch_distance_to_set` are
-    the batched entry points the :class:`~repro.compatibility.engine.CompatibilityEngine`
-    uses to resolve many candidates against a team in one batched sweep.
+    :data:`~repro.compatibility.shortest_path.CSR_AUTO_THRESHOLD` nodes.
+    :meth:`warm` and :meth:`batch_distance_to_set` are the batched entry
+    points the :class:`~repro.compatibility.engine.CompatibilityEngine` uses
+    to resolve many candidates against a team in one batched sweep.
     """
 
     def __init__(
@@ -122,8 +129,6 @@ class DistanceOracle:
             return self._relation.positive_balanced_distance(u, v)
         index = self._fresh_index()
         if index is not None:
-            from repro.signed.csr import UNREACHABLE
-
             csr = self._graph.csr_view()
             iu = csr._index.get(u)
             iv = csr._index.get(v)
@@ -204,8 +209,6 @@ class DistanceOracle:
         def compute_missing(missing: List[Node]) -> List[object]:
             executor = executor_for(self._policy)
             if self._use_csr():
-                from repro.signed.csr import CSRLengths
-
                 csr = self._graph.csr_view()
                 arrays = executor.map_kernel(
                     "csr_path_lengths", csr, [csr.index_of(source) for source in missing]
@@ -249,10 +252,6 @@ class DistanceOracle:
                 # per-candidate loop below then reads cached maps.
                 self.warm(team_list)
             return [self.distance_to_set(c, team_list) for c in candidate_list]
-        import numpy as np
-
-        from repro.signed.csr import CSRLengths, UNREACHABLE
-
         maps = self.warm(team_list)
         if not all(isinstance(view, CSRLengths) for view in maps):
             # Mixed cache contents (e.g. maps computed before a backend
@@ -307,10 +306,6 @@ class DistanceOracle:
         mode = self._policy.distance_index
         if mode == "bfs" or isinstance(self._relation, _BalancedPathRelation):
             return False
-        if not numpy_available():
-            if mode == "labels":
-                warn_numpy_missing("distance_index='labels'")
-            return False
         if mode == "labels":
             return True
         return self._use_csr()
@@ -339,12 +334,6 @@ class DistanceOracle:
         return self._build_or_refresh()
 
     def _build_or_refresh(self):
-        from repro.signed.labels import (
-            build_label_index,
-            refresh_label_index,
-            register_snapshot_labels,
-        )
-
         executor = executor_for(self._policy)
         if self._label_index is None:
             self._label_index = build_label_index(
@@ -400,8 +389,6 @@ class DistanceOracle:
                 f"{self._graph.number_of_nodes()}"
             )
         self._label_index = index.stamped(self._graph.generation)
-        from repro.signed.labels import register_snapshot_labels
-
         register_snapshot_labels(self._graph.csr_view(), self._label_index)
 
     def refresh_index(self) -> None:
@@ -439,10 +426,6 @@ class DistanceOracle:
         index = self._fresh_index(build=True)
         if index is None:
             return None
-        import numpy as np
-
-        from repro.signed.csr import CSRLengths, UNREACHABLE
-
         csr = self._graph.csr_view()
         dense_candidates = [csr._index.get(c) for c in candidates]
         dense_team = [csr._index.get(m) for m in team]
@@ -487,17 +470,12 @@ class DistanceOracle:
     def _use_csr(self) -> bool:
         if isinstance(self._relation, _ShortestPathRelation):
             return self._relation._use_csr()
-        return numpy_available() and (
-            self._graph.prefers_csr
-            or self._graph.number_of_nodes() >= CSR_AUTO_THRESHOLD
-        )
+        return self._graph.prefers_csr or self._graph.number_of_nodes() >= CSR_AUTO_THRESHOLD
 
     def _shortest_paths_from(self, source: Node):
         lengths = self._bfs_cache.get(source)
         if lengths is None:
             if self._use_csr():
-                from repro.signed.csr import CSRLengths, shortest_path_lengths_csr
-
                 csr = self._graph.csr_view()
                 lengths = CSRLengths(csr, shortest_path_lengths_csr(csr, source))
             else:

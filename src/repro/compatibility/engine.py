@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.compatibility.base import CacheSize, CompatibilityRelation
 from repro.compatibility.distance import DistanceOracle
 from repro.compatibility.shortest_path import _ShortestPathRelation
@@ -46,11 +48,13 @@ from repro.exec.policy import (
     executor_for,
     resolve_policy,
 )
+from repro.exceptions import NodeNotFoundError
+from repro.signed.csr import UNREACHABLE
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import SignedBFSResult
+from repro.utils.bitset import unpack_mask
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import scaled_cache_size
-from repro.utils.optional import numpy_available
 
 #: Default bound on the number of memoised per-member rule masks (each mask
 #: is one byte per node, so the ``"auto"`` sizing rarely shrinks it).
@@ -279,8 +283,6 @@ class CompatibilityEngine:
         each member ships ``n/8`` bytes instead of three O(n) count arrays;
         only int64-overflow members fall back to the batched-BFS path.
         """
-        from repro.signed.csr import UNREACHABLE
-
         relation = self._relation
         nodes_tag = csr._nodes
         masks: dict = {}
@@ -292,8 +294,6 @@ class CompatibilityEngine:
             else:
                 missing.append(member)
         if missing and self._policy.parallel:
-            from repro.utils.bitset import unpack_mask
-
             # Members whose BFS results already sit in the relation's cache
             # (earlier pair queries, a warm()) must not pay a fresh worker-side
             # traversal: indexable results yield their mask locally, the rest
@@ -343,8 +343,6 @@ class CompatibilityEngine:
         """Vectorised team filter: memoised per-member rule masks, indexed at
         the candidates (one batched BFS only for members without a valid memo
         entry)."""
-        import numpy as np
-
         relation = self._relation
         csr = self.graph.csr_view()
         index = csr._index
@@ -355,8 +353,6 @@ class CompatibilityEngine:
                 count=len(survivors),
             )
         except KeyError as missing:
-            from repro.exceptions import NodeNotFoundError
-
             raise NodeNotFoundError(missing.args[0]) from None
         keep = np.ones(len(survivors), dtype=bool)
         for member, (mask, result) in zip(team, self._member_rule_masks(team, csr)):
@@ -430,7 +426,7 @@ class CompatibilityEngine:
         after a generation bump republishes the fresh snapshot automatically
         and unlinks the stale one.
         """
-        if numpy_available() and self.graph._csr_cache is not None:
+        if self.graph._csr_cache is not None:
             self.graph.csr_view()
         self._mask_cache.sync()
         self._relation.sync_caches()

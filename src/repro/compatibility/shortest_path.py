@@ -11,8 +11,7 @@ negative shortest paths from a query node to every other node in one BFS:
 Two interchangeable backends run Algorithm 1:
 
 * ``"dict"`` — the pure-Python BFS over the adjacency dictionary; lowest
-  latency on small graphs, the reference implementation, and the only backend
-  available on numpy-free installs;
+  latency on small graphs and the reference implementation;
 * ``"csr"`` — the indexed array BFS over the graph's
   :meth:`~repro.signed.graph.SignedGraph.csr_view`
   (:func:`repro.signed.csr.signed_bfs_csr`); an order of magnitude faster per
@@ -27,10 +26,8 @@ backend.  The first BFS in auto mode therefore runs on the dict backend and
 counts its levels: if the probe's eccentricity exceeds
 :data:`CSR_AUTO_LEVEL_THRESHOLD`, the relation commits to the dict backend;
 otherwise it commits to CSR.  The probe result is cached like any other BFS,
-so the work is never wasted.  On numpy-free installs ``"auto"`` falls back to
-the dict backend with a one-time warning, while an explicit ``backend="csr"``
-raises :class:`ImportError` at construction time.  All backends produce
-identical relations — the equivalence tests compare them bit for bit.
+so the work is never wasted.  All backends produce identical relations — the
+equivalence tests compare them bit for bit.
 
 The per-source BFS result is cached in a bounded LRU
 (:class:`repro.utils.lru.LRUCache`); the default ``bfs_cache_size="auto"``
@@ -42,17 +39,20 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Sequence, Set, Union
 
+import numpy as np
+
 from repro.compatibility.base import (
     CacheSize,
     CompatibilityRelation,
     resolve_cache_size,
 )
 from repro.exec.policy import POLICY_DEFAULT, ExecutionPolicy, resolve_policy
+from repro.signed.csr import CSRSignedBFSResult, signed_bfs_csr
 from repro.signed.graph import Node, SignedGraph
 from repro.signed.paths import SignedBFSResult, signed_bfs
+from repro.utils.bitset import unpack_mask
 from repro.utils.generational import GenerationalLRUCache
 from repro.utils.lru import APPROX_BYTES_PER_NODE, fetch_batched
-from repro.utils.optional import numpy_available, require_numpy, warn_numpy_missing
 
 #: ``backend="auto"`` considers the CSR BFS from this graph size upward.
 CSR_AUTO_THRESHOLD = 1024
@@ -68,8 +68,7 @@ CSR_AUTO_LEVEL_THRESHOLD = 32
 #: the ``"auto"`` byte-aware sizing starts from).
 DEFAULT_BFS_CACHE_SIZE = 2048
 
-# The CSR result type is imported lazily (numpy-free installs never load it).
-_BFSResult = Union[SignedBFSResult, "CSRSignedBFSResult"]  # noqa: F821
+_BFSResult = Union[SignedBFSResult, CSRSignedBFSResult]
 
 
 class _ShortestPathRelation(CompatibilityRelation):
@@ -113,8 +112,6 @@ class _ShortestPathRelation(CompatibilityRelation):
         )
         super().__init__(graph, policy=policy)
         graph = self._graph  # the base may have adapted a bare CSR snapshot
-        if policy.backend == "csr":
-            require_numpy("backend='csr'")
         #: Lazily decided by the diameter probe in auto mode (None = undecided).
         self._auto_prefer_dict: Optional[bool] = None
         num_nodes = graph.number_of_nodes()
@@ -143,14 +140,8 @@ class _ShortestPathRelation(CompatibilityRelation):
         if self._graph.prefers_csr:
             # CSR-first graphs never pay the dict diameter probe — probing
             # would materialise the adjacency dicts the facade exists to avoid.
-            if numpy_available():
-                return True
-            warn_numpy_missing(f"{self.name} backend='auto'")
-            return False
+            return True
         if self._graph.number_of_nodes() < CSR_AUTO_THRESHOLD:
-            return False
-        if not numpy_available():
-            warn_numpy_missing(f"{self.name} backend='auto'")
             return False
         if self._auto_prefer_dict is None:
             self._probe_diameter()
@@ -188,8 +179,6 @@ class _ShortestPathRelation(CompatibilityRelation):
                 levels = max(levels, max(reached.values(), default=0))
                 seen.update(reached)
             else:  # a cached CSR result (backend switched mid-life)
-                import numpy as np
-
                 levels = max(levels, max(0, int(result.lengths_array.max())))
                 csr = result.graph
                 seen.update(
@@ -209,8 +198,6 @@ class _ShortestPathRelation(CompatibilityRelation):
         result = self._bfs_cache.get(source)
         if result is None:
             if self._use_csr():
-                from repro.signed.csr import signed_bfs_csr
-
                 try:
                     result = signed_bfs_csr(self._graph.csr_view(), source)
                 except OverflowError:
@@ -252,8 +239,6 @@ class _ShortestPathRelation(CompatibilityRelation):
             return fetch_batched(self._bfs_cache, source_list, compute_missing_dict)
 
         def compute_missing(missing: List[Node]) -> List[_BFSResult]:
-            from repro.signed.csr import CSRSignedBFSResult
-
             csr = self._graph.csr_view()
             triples = self._executor().map_kernel(
                 "csr_signed_bfs",
@@ -387,10 +372,6 @@ class _ShortestPathRelation(CompatibilityRelation):
 
     def _compute_mask_sets(self, missing: List[Node]) -> List[FrozenSet[Node]]:
         """Pool path of :meth:`batch_compatible_sets`: bitmaps in, frozensets out."""
-        import numpy as np
-
-        from repro.utils.bitset import unpack_mask
-
         csr = self._graph.csr_view()
         nodes = csr._nodes
         sets: List[FrozenSet[Node]] = []

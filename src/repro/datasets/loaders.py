@@ -25,11 +25,14 @@ from typing import Dict, Optional, Union
 from repro.datasets.synthetic import SignedDataset
 from repro.exceptions import DatasetError
 from repro.signed.components import largest_connected_component
+from repro.signed.csr import CSRSignedGraph
 from repro.signed.graph import SignedGraph
+from repro.signed.ingest import parse_edge_list_csr
 from repro.signed.io import read_edge_list
+from repro.signed.lazy import as_signed_graph
+from repro.signed.store import load_labels, load_snapshot, save_snapshot
 from repro.skills.generators import assign_skills_zipf
 from repro.skills.io import read_assignment, read_user_skill_pairs
-from repro.utils.optional import numpy_available
 from repro.utils.rng import RandomState
 
 PathLike = Union[str, Path]
@@ -122,7 +125,7 @@ def _cold_parse(
     directed_to_undirected: str,
     want_csr: bool,
 ):
-    """Cold-parse an edge list, vectorised when numpy is available.
+    """Cold-parse an edge list, vectorised where the input allows it.
 
     Returns ``(graph, csr)`` where exactly one of the two is populated unless
     ``want_csr`` forces a CSR companion for a dict-parsed graph (cache writes
@@ -130,22 +133,17 @@ def _cold_parse(
     SNAP-style file; inputs it cannot prove bit-identical fall back to the
     dict parser, which also raises the reference errors.
     """
-    if numpy_available():
-        from repro.signed.ingest import parse_edge_list_csr
-
-        csr = parse_edge_list_csr(
-            edges_path,
-            directed_to_undirected=directed_to_undirected,
-            restrict_to_lcc=restrict_to_lcc,
-        )
-        if csr is not None:
-            if csr.number_of_nodes() == 0:
-                raise DatasetError(f"edge list {edges_path} produced an empty graph")
-            return None, csr
+    csr = parse_edge_list_csr(
+        edges_path,
+        directed_to_undirected=directed_to_undirected,
+        restrict_to_lcc=restrict_to_lcc,
+    )
+    if csr is not None:
+        if csr.number_of_nodes() == 0:
+            raise DatasetError(f"edge list {edges_path} produced an empty graph")
+        return None, csr
     graph = _dict_parse(edges_path, restrict_to_lcc, directed_to_undirected)
-    if want_csr and numpy_available():
-        from repro.signed.csr import CSRSignedGraph
-
+    if want_csr:
         return graph, CSRSignedGraph.from_signed_graph(graph)
     return graph, None
 
@@ -158,12 +156,6 @@ def _deliver(graph, csr, csr_only: bool) -> SignedGraph:
     the parse itself was CSR-first (bit-identical by the ingest contract).
     """
     if csr_only:
-        from repro.signed.lazy import as_signed_graph
-
-        if csr is None:  # numpy-free fallback never lands here (require_numpy)
-            from repro.signed.csr import CSRSignedGraph
-
-            csr = CSRSignedGraph.from_signed_graph(graph)
         return as_signed_graph(csr)
     if graph is not None:
         return graph
@@ -180,7 +172,7 @@ def _parse_edge_list_cached(
     """Parse an edge list, going through the snapshot-store cache when enabled.
 
     Returns ``(graph, labels)``.  Cold parses run the vectorised CSR-first
-    reader (:mod:`repro.signed.ingest`) when numpy is available; a cache hit
+    reader (:mod:`repro.signed.ingest`); a cache hit
     memory-maps the stored planes.  With ``csr_only`` the result is the lazy
     :class:`~repro.signed.lazy.CSRBackedSignedGraph` facade — on a hit the
     dict graph is never rebuilt and the edge list is never re-read.  Without
@@ -191,20 +183,14 @@ def _parse_edge_list_cached(
     ``.store`` v2 label section (hits only, else ``None``).  Corrupt or
     unreadable cache entries fall back to parsing and are rewritten.
     """
-    if csr_only and not numpy_available():
-        from repro.utils.optional import require_numpy
-
-        require_numpy("csr_only ingestion")
     cache_dir = _snapshot_cache_dir(snapshot_cache_dir)
-    if cache_dir is None or not numpy_available():
+    if cache_dir is None:
         _CACHE_STATS["misses"] += 1
         _logger.debug("snapshot cache disabled for %s; parsing", edges_path)
         graph, csr = _cold_parse(
             edges_path, restrict_to_lcc, directed_to_undirected, want_csr=csr_only
         )
         return _deliver(graph, csr, csr_only), None
-
-    from repro.signed.store import load_labels, load_snapshot, save_snapshot
 
     edges_file = Path(edges_path).resolve()
     cache_file = _snapshot_cache_file(
@@ -260,10 +246,8 @@ def attach_cached_labels(
     disabled, entry missing/corrupt, or a read-only cache directory).
     """
     cache_dir = _snapshot_cache_dir(snapshot_cache_dir)
-    if cache_dir is None or not numpy_available():
+    if cache_dir is None:
         return False
-    from repro.signed.store import load_snapshot, save_snapshot
-
     edges_file = Path(edges_path).resolve()
     cache_file = _snapshot_cache_file(
         cache_dir, edges_file, restrict_to_lcc, directed_to_undirected
@@ -318,8 +302,7 @@ def load_snap_dataset(
         ``REPRO_SNAPSHOT_CACHE_DIR`` environment variable names a directory),
         the parsed graph is saved as a ``.store`` snapshot keyed by the source
         file's path, mtime, size and parse options; subsequent loads
-        memory-map the snapshot instead of re-parsing.  Requires numpy; on
-        numpy-free installs the cache is silently skipped.
+        memory-map the snapshot instead of re-parsing.
     csr_only:
         Serve the graph as a lazy CSR-backed facade
         (:class:`~repro.signed.lazy.CSRBackedSignedGraph`) instead of
@@ -327,8 +310,7 @@ def load_snap_dataset(
         with zero edge-list re-reads and O(1) per-edge work, and cold parses
         run the vectorised reader end to end.  The facade *is* a
         ``SignedGraph`` — every consumer accepts it — and materialises the
-        dict backend lazily if a dict-only code path is exercised.  Requires
-        numpy.
+        dict backend lazily if a dict-only code path is exercised.
     """
     graph, label_index = _parse_edge_list_cached(
         edges_path,

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.signed.components import largest_connected_component
+from repro.signed.csr import CSRSignedGraph
 from repro.signed.graph import NEGATIVE, POSITIVE, Node, SignedGraph
+from repro.signed.ingest import build_csr_planes
+from repro.signed.lazy import as_signed_graph
 from repro.skills.assignment import SkillAssignment
 from repro.skills.generators import assign_skills_zipf
 from repro.utils.rng import RandomState, ensure_rng
@@ -478,14 +482,6 @@ def synthetic_csr_network(
     order, so ``.store`` snapshots use the zero-byte ``range`` node table) and
     ``factions`` is an ``int64`` array of per-node faction indices.
     """
-    from repro.utils.optional import require_numpy
-
-    require_numpy("synthetic_csr_network")
-    import numpy as np
-
-    from repro.signed.csr import CSRSignedGraph
-    from repro.signed.ingest import build_csr_planes
-
     require_positive(num_nodes, "num_nodes")
     require_positive(average_degree, "average_degree")
     require_positive(num_factions, "num_factions")
@@ -552,8 +548,6 @@ def _vectorised_zipf_skills(
     and each draw picks a skill rank from the Zipf law.  Every user keeps at
     least one skill.
     """
-    import numpy as np
-
     rng = np.random.default_rng(None if seed is None else seed + 0x5B1F)
     ranks = np.arange(1, num_skills + 1, dtype=np.float64)
     weights = ranks ** (-exponent)
@@ -594,8 +588,6 @@ def million_scale_dataset(
     the dataset record: a 1M-entry dict would defeat the point of the CSR-only
     path (use :func:`synthetic_csr_network` directly if you need them).
     """
-    from repro.signed.lazy import as_signed_graph
-
     num_nodes = max(1000, int(round(1_000_000 * scale)))
     csr, _ = synthetic_csr_network(
         num_nodes,

@@ -40,15 +40,23 @@ reproduce exactly what the plain kernel would have returned, so pool-vs-serial
 bit-identity is preserved by construction.  Kernels without an entry here
 (every ``dict_*`` kernel, scalar reductions, locally registered test kernels)
 simply ship their results pickled, as before.
-
-numpy is imported lazily throughout, keeping ``import repro.exec`` working on
-numpy-free installs (where no CSR kernel — arena or not — ever runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.exec.kernels import KERNELS
+from repro.signed.csr import (
+    UNREACHABLE,
+    balanced_heuristic_depths,
+    shortest_path_lengths_dense_batch_into,
+    signed_bfs_dense_batch_into,
+)
+from repro.utils.bitset import mask_nbytes
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,6 @@ class ResultArena:
 
 def mask_width(num_nodes: int) -> int:
     """Bytes per packed compatible-set bitmap row (``ceil(n / 8)``)."""
-    from repro.utils.bitset import mask_nbytes
-
     return mask_nbytes(num_nodes)
 
 
@@ -126,8 +132,6 @@ def _plane_layout(kernel: str, num_sources: int, num_nodes: int):
     Offsets are rounded up to 8-byte boundaries so the int64 planes map to
     aligned views whatever the source count times the int32 plane width.
     """
-    import numpy as np
-
     layout = []
     offset = 0
     for spec in _plane_specs(kernel, num_nodes):
@@ -151,8 +155,6 @@ def map_planes(arena: ResultArena, buffer):
     memory's buffer, which is what lets the parent hang the segment's
     lifetime off it with a ``weakref.finalize``.
     """
-    import numpy as np
-
     base = np.frombuffer(buffer, dtype=np.uint8)
     layout, _total = _plane_layout(arena.kernel, arena.num_sources, arena.num_nodes)
     planes = []
@@ -181,8 +183,6 @@ def write_chunk(
 
 
 def _write_signed_bfs(planes, start, csr, sources, params) -> List:
-    from repro.signed.csr import signed_bfs_dense_batch_into
-
     stop = start + len(sources)
     return signed_bfs_dense_batch_into(
         csr,
@@ -195,16 +195,12 @@ def _write_signed_bfs(planes, start, csr, sources, params) -> List:
 
 
 def _write_path_lengths(planes, start, csr, sources, params) -> List:
-    from repro.signed.csr import shortest_path_lengths_dense_batch_into
-
     return shortest_path_lengths_dense_batch_into(
         csr, sources, planes[0][start : start + len(sources)]
     )
 
 
 def _write_sbph(planes, start, csr, sources, params) -> List:
-    from repro.signed.csr import UNREACHABLE, balanced_heuristic_depths
-
     max_length = params.get("max_length")
     positive_plane, negative_plane = planes
     for row, source in enumerate(sources, start=start):
@@ -227,8 +223,6 @@ def _write_compatible_masks(planes, start, csr, sources, params) -> List:
     # Delegates to the plain kernel so arena and pickled shipping produce the
     # very same packed bytes; a bitmap row is ceil(n/8) bytes, so the copy is
     # negligible next to the per-source traversal.
-    from repro.exec.kernels import KERNELS
-
     rows = KERNELS["csr_compatible_masks"](csr, sources, params)
     tokens: List = []
     plane = planes[0]
@@ -311,10 +305,6 @@ def _decode_path_lengths(planes, position, token):
 
 
 def _decode_sbph(planes, position, token):
-    import numpy as np
-
-    from repro.signed.csr import UNREACHABLE
-
     positive_row = planes[0][position]
     negative_row = planes[1][position]
     positive = {

@@ -26,6 +26,20 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence
 
+from repro.signed.csr import (
+    UNREACHABLE,
+    balanced_heuristic_depths,
+    shortest_path_lengths_dense_batch,
+    signed_bfs_dense_batch,
+)
+from repro.signed.paths import (
+    BalancedPathSearch,
+    shortest_path_lengths,
+    shortest_signed_walk_lengths,
+    signed_bfs,
+)
+from repro.utils.bitset import pack_mask
+
 #: Kernel registry: name -> ``kernel(payload, sources, params)``.
 KERNELS: Dict[str, Callable] = {}
 
@@ -50,8 +64,6 @@ def register_kernel(name: str, function: Callable = None):
 
 
 # ---------------------------------------------------------------- CSR kernels
-# numpy (and repro.signed.csr) is imported inside the kernels so that merely
-# importing repro.exec stays possible on numpy-free installs.
 
 
 @register_kernel("csr_signed_bfs")
@@ -59,8 +71,6 @@ def csr_signed_bfs(csr, sources: Sequence[int], params: dict) -> List:
     """Algorithm 1 from many dense sources: ``(lengths, positive, negative)``
     array triples (``None`` marks an int64 overflow for the caller's dict
     fallback)."""
-    from repro.signed.csr import signed_bfs_dense_batch
-
     return signed_bfs_dense_batch(
         csr, sources, skip_overflow=params.get("skip_overflow", True)
     )
@@ -69,8 +79,6 @@ def csr_signed_bfs(csr, sources: Sequence[int], params: dict) -> List:
 @register_kernel("csr_path_lengths")
 def csr_path_lengths(csr, sources: Sequence[int], params: dict) -> List:
     """Sign-agnostic BFS distances from many dense sources (one array each)."""
-    from repro.signed.csr import shortest_path_lengths_dense_batch
-
     return shortest_path_lengths_dense_batch(csr, sources)
 
 
@@ -85,8 +93,6 @@ register_kernel("build_labels", csr_path_lengths)
 def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
     """SBPH heuristic search per dense source: ``(positive_depths,
     negative_depths)`` dicts keyed by dense ids (the caller remaps to nodes)."""
-    from repro.signed.csr import balanced_heuristic_depths
-
     max_length = params.get("max_length")
     return [
         balanced_heuristic_depths(csr, source, max_length=max_length)
@@ -107,8 +113,6 @@ def csr_compatible_degrees(csr, sources: Sequence[int], params: dict) -> List:
     :meth:`repro.signed.csr.CSRSignedBFSResult.compatible_count` on the same
     arrays, bit for bit.
     """
-    from repro.signed.csr import UNREACHABLE, signed_bfs_dense_batch
-
     rule = _pair_rule_mask_for(params["rule"])
     triples = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
     counts: List = []
@@ -137,9 +141,6 @@ def csr_compatible_masks(csr, sources: Sequence[int], params: dict) -> List:
     bitmap yields exactly the membership of the serial path's
     ``compatible_nodes(rule_mask) + {source}``.
     """
-    from repro.signed.csr import UNREACHABLE, signed_bfs_dense_batch
-    from repro.utils.bitset import pack_mask
-
     rule = _pair_rule_mask_for(params["rule"])
     triples = signed_bfs_dense_batch(csr, sources, skip_overflow=True)
     masks: List = []
@@ -156,6 +157,7 @@ def csr_compatible_masks(csr, sources: Sequence[int], params: dict) -> List:
 
 def _pair_rule_mask_for(name: str):
     """The vectorised SP* pair rule registered under ``name`` (SPA/SPM/SPO)."""
+    # cycle: compatibility.shortest_path imports repro.exec
     from repro.compatibility.shortest_path import (
         AllShortestPathsCompatibility,
         MajorityShortestPathsCompatibility,
@@ -176,16 +178,12 @@ def _pair_rule_mask_for(name: str):
 @register_kernel("dict_signed_bfs")
 def dict_signed_bfs(graph, sources: Sequence, params: dict) -> List:
     """Algorithm 1 per source on the dict backend (:class:`SignedBFSResult`)."""
-    from repro.signed.paths import signed_bfs
-
     return [signed_bfs(graph, source) for source in sources]
 
 
 @register_kernel("dict_path_lengths")
 def dict_path_lengths(graph, sources: Sequence, params: dict) -> List:
     """Sign-agnostic BFS distances per source (plain dicts)."""
-    from repro.signed.paths import shortest_path_lengths
-
     return [shortest_path_lengths(graph, source) for source in sources]
 
 
@@ -193,8 +191,6 @@ def dict_path_lengths(graph, sources: Sequence, params: dict) -> List:
 def dict_walk_lengths(graph, sources: Sequence, params: dict) -> List:
     """Signed double-cover walk lengths per source:
     ``(positive_lengths, negative_lengths)`` dict pairs."""
-    from repro.signed.paths import shortest_signed_walk_lengths
-
     return [shortest_signed_walk_lengths(graph, source) for source in sources]
 
 
@@ -207,8 +203,6 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
     :class:`~repro.signed.paths.BalancedPathSearch`.  A fresh search object is
     built per call, so results match the relation's own searches exactly.
     """
-    from repro.signed.paths import BalancedPathSearch
-
     search = BalancedPathSearch(
         graph,
         max_length=params.get("max_length"),
@@ -219,15 +213,15 @@ def dict_balanced_search(graph, sources: Sequence, params: dict) -> List:
     return [search.search_heuristic(source) for source in sources]
 
 
-#: The degradation contract: every CSR kernel's dict-backend equivalent.
+#: The reference contract: every CSR kernel's dict-backend equivalent.
 #:
-#: When numpy is missing or a payload has no CSR view, the executor (and the
-#: compatibility layers above it) answer with the mapped ``dict_*`` kernel —
-#: per-source, arbitrary-precision, pure python.  ``build_labels`` degrades to
-#: plain per-source distances (the label index itself refuses to build without
-#: numpy), and both compatible-set kernels degrade to the per-source signed
-#: BFS the dict backend counts from.  ``repro-teams analyze`` enforces that
-#: this table stays total over the registry (kernel-registry-parity).
+#: When a payload has no CSR view, the executor (and the compatibility layers
+#: above it) answer with the mapped ``dict_*`` kernel — per-source,
+#: arbitrary-precision, pure python.  ``build_labels`` maps to plain
+#: per-source distances, and both compatible-set kernels map to the
+#: per-source signed BFS the dict backend counts from.  ``repro-teams
+#: analyze`` enforces that this table stays total over the registry
+#: (kernel-registry-parity).
 SERIAL_EQUIVALENTS: Dict[str, str] = {
     "csr_signed_bfs": "dict_signed_bfs",
     "csr_path_lengths": "dict_path_lengths",

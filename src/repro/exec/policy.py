@@ -19,9 +19,6 @@ lives here:
   process-pool executor (:mod:`repro.exec.pool`) for ``workers >= 2``, with a
   one-time-warning fallback to serial when pools cannot be created on the
   platform.
-
-The module is importable without numpy (the CSR-specific threshold defaults
-to ``None`` = "the library constant", resolved lazily at the use site).
 """
 
 from __future__ import annotations
@@ -123,8 +120,7 @@ class ExecutionPolicy:
         (:mod:`repro.signed.labels`) instead of running a BFS.  ``"bfs"``
         (the default) never consults the index; ``"auto"`` consults it
         whenever the oracle would use the CSR backend anyway; ``"labels"``
-        always consults it (degrading to the dict-BFS path with a one-time
-        :class:`RuntimeWarning` when numpy is missing).  Batched queries
+        always consults it.  Batched queries
         build/refresh the index lazily per graph generation; per-pair
         queries only consult an index that is already fresh and fall back to
         exact BFS otherwise.  Answers are exact in every mode — landmark
@@ -315,7 +311,7 @@ def executor_for(policy: ExecutionPolicy):
     themselves are shared per worker count).  If the platform cannot run a
     pool — no ``multiprocessing.shared_memory``, no process support — the
     policy degrades to the serial executor with a one-time
-    :class:`RuntimeWarning`, mirroring the numpy-free backend degradation.
+    :class:`RuntimeWarning`.
     """
     global _POOLS_UNAVAILABLE
     from repro.exec.serial import serial_executor

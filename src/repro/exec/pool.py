@@ -42,8 +42,8 @@ shape explicit:
   landmark BFS rows through the result arena like any other sweep.
 * **Graceful degradation.**  If pools or shared memory are unavailable on the
   platform (or a payload cannot be shipped), execution falls back to the
-  in-process serial path with a one-time :class:`RuntimeWarning` — mirroring
-  the numpy-free backend degradation.  Results are unchanged either way.
+  in-process serial path with a one-time :class:`RuntimeWarning`.  Results
+  are unchanged either way.
 
 Pools are persistent and shared per worker count; they shut down atexit or
 via :func:`shutdown_pools`.
@@ -62,11 +62,17 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exec import arena as arena_module
 from repro.exec.arena import ResultArena
 from repro.exec.kernels import KERNELS
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.serial import Executor, serial_executor
+from repro.signed import store
+from repro.signed.csr import CSRSignedGraph
+from repro.signed.graph import SignedGraph
+from repro.signed.labels import snapshot_labels_for
 
 #: Test hook: set to True to simulate a platform without shared memory.
 _DISABLE_SHARED_MEMORY = False
@@ -162,23 +168,16 @@ def _store_discard(path: str, unlink: bool = True) -> None:
 def _flush_store_ledger() -> None:
     """Unlink every published store file still on the ledger, plus any
     in-flight store temp files (crash/interrupt leftovers)."""
-    import sys
-
     for path in list(_STORE_FILE_LEDGER):
         _store_discard(path)
-    # sys.modules lookup instead of an import: this also runs atexit, where
-    # importing is fragile — and if the store module was never imported, no
-    # temp file can exist either.
-    store = sys.modules.get("repro.signed.store")
-    if store is not None:
-        store.flush_temp_files()
+    store.flush_temp_files()
 
 
 #: Degradation stages already warned about, shared across every executor
 #: instance in the process.  A freshly constructed relation (hence executor)
-#: on a pool-less or numpy-free host must not re-warn on every construction —
-#: one RuntimeWarning per failure mode per process, like the numpy-free
-#: backend warning.  :func:`repro.exec.policy.reset_executors` clears it.
+#: on a pool-less host must not re-warn on every construction — one
+#: RuntimeWarning per failure mode per process.
+#: :func:`repro.exec.policy.reset_executors` clears it.
 _DEGRADE_WARNED: set = set()
 
 
@@ -282,19 +281,13 @@ def _attach_payload(descriptor: SnapshotDescriptor):
         # placeholder nodes and an empty index; kernels touch only the flat
         # arrays.  The memmaps keep the file readable even after the parent
         # unlinks it on release (POSIX semantics, same as shm segments).
-        from repro.signed.store import load_snapshot
-
-        payload = load_snapshot(descriptor.store_path, mmap=True, node_table=False)
+        payload = store.load_snapshot(descriptor.store_path, mmap=True, node_table=False)
         _WORKER_PAYLOADS[descriptor.publish_id] = (payload, [])
         while len(_WORKER_PAYLOADS) > _WORKER_CACHE_BOUND:
             _evict_oldest_payload()
         return payload
     shared_memory = _require_shared_memory()
     if descriptor.kind == "csr":
-        import numpy as np
-
-        from repro.signed.csr import CSRSignedGraph
-
         handles = []
         arrays = []
         for spec in descriptor.segments:
@@ -523,8 +516,6 @@ class _PoolHandle:
     ) -> Tuple[SnapshotDescriptor, list]:
         publish_id = self._next_publish_id
         self._next_publish_id += 1
-        from repro.signed.graph import SignedGraph
-
         if store_dir is not None and not isinstance(payload, SignedGraph):
             # File-backed publication: persist the CSR snapshot once into the
             # policy's store directory; workers memmap it read-only.  The
@@ -534,16 +525,13 @@ class _PoolHandle:
             # through publish()'s wrapper → the usual serial degradation.
             # (Dict payloads keep the pickle-blob path: the store format is
             # CSR-specific.)
-            from repro.signed.labels import snapshot_labels_for
-            from repro.signed.store import save_snapshot
-
             path = os.path.join(
                 store_dir, f"snapshot-{os.getpid()}-{publish_id}.store"
             )
             # Carry the snapshot's label index (if an oracle built one) as
             # the .store v2 label section: workers and later cold starts load
             # it from the file instead of rebuilding.
-            save_snapshot(payload, path, labels=snapshot_labels_for(payload))
+            store.save_snapshot(payload, path, labels=snapshot_labels_for(payload))
             _STORE_FILE_LEDGER[path] = None
             descriptor = SnapshotDescriptor(
                 publish_id=publish_id,
@@ -585,8 +573,6 @@ class _PoolHandle:
             )
             return descriptor, [shm]
         # Anything else is a CSR snapshot: ship the three flat arrays zero-copy.
-        import numpy as np
-
         segments = []
         handles = []
         for array in (payload.indptr, payload.indices, payload.signs):

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.compatibility import (
     CompatibilityEngine,
     DistanceOracle,
@@ -31,7 +33,9 @@ from repro.compatibility import (
     make_relation,
 )
 from repro.datasets import load_dataset
+from repro.exec import ExecutionPolicy
 from repro.signed.graph import NEGATIVE, POSITIVE, SignedGraph
+from repro.signed.lazy import CSRBackedSignedGraph
 from repro.skills.task import Task, random_tasks
 from repro.teams import TeamFormationProblem, run_algorithm
 from repro.utils.rng import ensure_rng
@@ -233,8 +237,6 @@ class _PlaneEdgeCandidates:
     def append(self, u, v) -> None:
         position = self.count
         if position == len(self.us):
-            import numpy as np
-
             capacity = max(64, 2 * len(self.us))
             grown_us = np.empty(capacity, dtype=self.us.dtype)
             grown_vs = np.empty(capacity, dtype=self.vs.dtype)
@@ -342,8 +344,6 @@ def run_streaming(
         config.dataset, seed=config.dataset_seed, scale=config.scale
     )
     graph = dataset.graph
-    from repro.signed.lazy import CSRBackedSignedGraph
-
     if config.csr_only and not isinstance(graph, CSRBackedSignedGraph):
         raise ValueError(
             "csr_only streaming requires a CSR-backed dataset graph "
@@ -356,8 +356,6 @@ def run_streaming(
         if config.csr_only is None
         else config.csr_only
     )
-    from repro.exec import ExecutionPolicy
-
     policy = ExecutionPolicy(
         backend=config.backend,
         workers=config.workers,

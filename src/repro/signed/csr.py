@@ -259,7 +259,7 @@ class CSRSignedGraph:
         Atomic (temp file + ``os.replace``); see :mod:`repro.signed.store`
         for the layout.  Returns ``path``.
         """
-        from repro.signed.store import save_snapshot
+        from repro.signed.store import save_snapshot  # cycle: store imports csr
 
         return save_snapshot(self, path)
 
@@ -271,7 +271,7 @@ class CSRSignedGraph:
         views — cold start is the cost of mapping the file, not of parsing
         an edge list.  Bit-identical to the saved snapshot either way.
         """
-        from repro.signed.store import load_snapshot
+        from repro.signed.store import load_snapshot  # cycle: store imports csr
 
         return load_snapshot(path, mmap=mmap)
 

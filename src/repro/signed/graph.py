@@ -418,7 +418,7 @@ class SignedGraph:
         the dynamic-graph equivalence suite.  Each snapshot carries the
         :attr:`generation` it was taken at.
         """
-        from repro.signed.csr import CSRSignedGraph
+        from repro.signed.csr import CSRSignedGraph  # cycle: csr imports graph
 
         cached = self._csr_cache
         if cached is not None and cached[0] == self._generation:

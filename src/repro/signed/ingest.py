@@ -157,6 +157,10 @@ def _scan_chunk(chunk: bytes) -> Tuple[np.ndarray, int]:
         bad = (sign_pos > 0) & ~_TOKEN_BREAK[prev]
         if bad.any():
             raise _VectorParseUnsupported("sign character inside a token")
+        # A bare "+"/"-" is a sign token, not a number: np.fromstring would
+        # read a trailing one as 0, so it goes to the token scanner.
+        if sign_pos[-1] == size - 1 or not _DIGIT[arr[sign_pos + 1]].all():
+            raise _VectorParseUnsupported("bare sign character")
         del prev, bad
     del sign_pos
     # Leading zeros: int("01") == 1 for a *node* but "01" is an invalid *sign*

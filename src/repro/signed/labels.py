@@ -32,9 +32,6 @@ rebuild: hubs whose pruned BFS trees provably cannot have changed reuse
 their old label contributions and only the remainder re-run their BFS.
 Patched indexes are bit-identical to a from-scratch rebuild (property-tested
 in ``tests/test_labels.py``).
-
-Construction requires numpy; callers degrade to the dict-BFS path when it is
-missing (see ``DistanceOracle``).
 """
 
 from __future__ import annotations
@@ -42,10 +39,11 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.signed.csr import CSRSignedGraph, UNREACHABLE
 from repro.signed.delta import within_patch_budget
 from repro.signed.graph import SignedGraph
-from repro.utils.optional import require_numpy
 
 #: Exact 2-hop labels are only attempted at or below this node count — it
 #: bounds label distances to ``uint16`` and keeps build cost in the
@@ -73,20 +71,12 @@ _INF = 1 << 30
 _BLOCK = 64
 
 
-def _np():
-    require_numpy("distance-label index")
-    import numpy as np
-
-    return np
-
-
 def hub_order_for(csr: CSRSignedGraph):
     """Dense node ids ordered by descending degree (ties: ascending id).
 
     This is the canonical hub/landmark ranking; it is a pure function of the
     snapshot, so a patched index and a from-scratch rebuild agree on it.
     """
-    np = _np()
     degrees = csr.degrees()
     return np.lexsort((np.arange(len(degrees)), -degrees)).astype(np.int32)
 
@@ -256,7 +246,6 @@ class LabelIndex:
     # ---------------------------------------------------------------- queries
 
     def _scratch_table(self):
-        np = _np()
         if self._scratch is None:
             self._scratch = np.full(self.num_nodes, _INF, dtype=np.int32)
         return self._scratch
@@ -267,7 +256,6 @@ class LabelIndex:
 
         Exact mode only — landmark mode callers use :meth:`bounds`.
         """
-        np = _np()
         indptr = self.label_indptr
         su, eu = int(indptr[u]), int(indptr[u + 1])
         sv, ev = int(indptr[v]), int(indptr[v + 1])
@@ -283,7 +271,6 @@ class LabelIndex:
         """Exact distances from dense id ``source`` to each dense id in
         ``targets`` as ``int32`` (:data:`~repro.signed.csr.UNREACHABLE` where
         disconnected).  Exact mode only."""
-        np = _np()
         targets = np.asarray(targets, dtype=np.int64)
         out = np.full(targets.shape[0], _INF, dtype=np.int32)
         if targets.shape[0] == 0:
@@ -321,7 +308,6 @@ class LabelIndex:
         (true distance exactly infinite).  Non-exact entries require a BFS
         fallback.  Landmark mode only.
         """
-        np = _np()
         targets = np.asarray(targets, dtype=np.int64)
         rows = self.landmark_rows
         du = np.asarray(rows[:, source], dtype=np.int64)
@@ -342,7 +328,6 @@ class LabelIndex:
 
     def bounds(self, u: int, v: int) -> Tuple[int, bool]:
         """Single-pair form of :meth:`batch_bounds_from`."""
-        np = _np()
         upper, exact = self.batch_bounds_from(u, np.asarray([v], dtype=np.int64))
         return int(upper[0]), bool(exact[0])
 
@@ -380,7 +365,6 @@ def snapshot_labels_for(csr: CSRSignedGraph) -> Optional[LabelIndex]:
 
 def labels_equal(left: Optional[LabelIndex], right: Optional[LabelIndex]) -> bool:
     """Structural equality of two indexes (the patch-vs-rebuild test oracle)."""
-    np = _np()
     if left is None or right is None:
         return left is right
     if (
@@ -402,7 +386,7 @@ def _label_nbytes(indptr, hubs, dists) -> int:
     return int(indptr.nbytes) + int(hubs.nbytes) + int(dists.nbytes)
 
 
-def _prune_query(np, cand, lab_indptr, lab_hubs, lab_dists, table, block, block_cols, block_vals):
+def _prune_query(cand, lab_indptr, lab_hubs, lab_dists, table, block, block_cols, block_vals):
     """query(hub, u) for every u in ``cand`` against the labels built so far.
 
     ``table`` holds the current hub's own label distances scattered by rank;
@@ -442,7 +426,6 @@ def _pll_labels(csr: CSRSignedGraph, hubs, rank_of, budget_bytes: Optional[int])
     (empty lists for nodes never reached), or ``None`` when ``budget_bytes``
     is exceeded.
     """
-    np = _np()
     indptr, indices = csr.indptr, csr.indices
     n = csr.number_of_nodes()
     lab_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -487,7 +470,7 @@ def _pll_labels(csr: CSRSignedGraph, hubs, rank_of, budget_bytes: Optional[int])
                 visited[cand] = True
                 touched.append(cand)
                 pruned_at = _prune_query(
-                    np, cand, lab_indptr, lab_hubs, lab_dists, table, block, block_cols, block_vals
+                    cand, lab_indptr, lab_hubs, lab_dists, table, block, block_cols, block_vals
                 )
                 labelled = cand[pruned_at > dist]
                 if labelled.shape[0]:
@@ -497,14 +480,14 @@ def _pll_labels(csr: CSRSignedGraph, hubs, rank_of, budget_bytes: Optional[int])
             for chunk in touched:
                 visited[chunk] = False
         lab_indptr, lab_hubs, lab_dists = _merge_block(
-            np, n, lab_indptr, lab_hubs, lab_dists, block, block_ranks
+            n, lab_indptr, lab_hubs, lab_dists, block, block_ranks
         )
         if budget_bytes is not None and _label_nbytes(lab_indptr, lab_hubs, lab_dists) > budget_bytes:
             return None
     return lab_indptr, lab_hubs, lab_dists
 
 
-def _merge_block(np, n, lab_indptr, lab_hubs, lab_dists, block, block_ranks):
+def _merge_block(n, lab_indptr, lab_hubs, lab_dists, block, block_ranks):
     """Merge one dense hub block into the CSR label arrays.
 
     Per node, existing entries (smaller ranks) first, then this block's
@@ -540,7 +523,6 @@ def _merge_block(np, n, lab_indptr, lab_hubs, lab_dists, block, block_ranks):
 def _build_exact(
     csr: CSRSignedGraph, budget_bytes: Optional[int], requested_mode: str
 ) -> Optional[LabelIndex]:
-    np = _np()
     n = csr.number_of_nodes()
     order = hub_order_for(csr)
     rank_of = np.empty(n, dtype=np.int64)
@@ -570,7 +552,6 @@ def _num_landmarks(num_nodes: int, budget_bytes: Optional[int]) -> int:
 
 def _bfs_rows(csr: CSRSignedGraph, sources: Sequence[int], executor):
     """One BFS distance row per source via the ``build_labels`` kernel."""
-    np = _np()
     if executor is None:
         from repro.exec import serial_executor
 
@@ -585,7 +566,6 @@ def _build_landmark(
     executor,
     requested_mode: str,
 ) -> LabelIndex:
-    np = _np()
     n = csr.number_of_nodes()
     order = hub_order_for(csr)
     num_hubs = _num_landmarks(n, budget_bytes)
@@ -620,7 +600,6 @@ def build_label_index(
     the exact build is inherently sequential in hub order and runs in
     process.
     """
-    _np()
     if mode not in ("auto", MODE_EXACT, MODE_LANDMARK):
         raise ValueError(
             f"label-index mode must be 'auto', 'exact' or 'landmark'; got {mode!r}"
@@ -650,7 +629,6 @@ def build_label_index(
 
 
 def _dirty_mask(csr: CSRSignedGraph, affected):
-    np = _np()
     dirty = np.zeros(csr.number_of_nodes(), dtype=bool)
     for node in affected:
         position = csr._index.get(node)
@@ -663,7 +641,6 @@ def _dirty_mask(csr: CSRSignedGraph, affected):
 def _patch_landmark(
     index: LabelIndex, csr: CSRSignedGraph, dirty, budget_bytes, executor
 ) -> LabelIndex:
-    np = _np()
     n = csr.number_of_nodes()
     order = hub_order_for(csr)
     num_hubs = _num_landmarks(n, budget_bytes)
@@ -696,7 +673,6 @@ def _patch_landmark(
 def _patch_exact(
     index: LabelIndex, csr: CSRSignedGraph, dirty, budget_bytes
 ) -> Optional[LabelIndex]:
-    np = _np()
     n = csr.number_of_nodes()
     order = hub_order_for(csr)
     rank_of = np.empty(n, dtype=np.int64)
@@ -745,7 +721,7 @@ def _patch_exact(
     return merged
 
 
-def _contribution_diff(np, old_nodes, old_dists, new_nodes, new_dists):
+def _contribution_diff(old_nodes, old_dists, new_nodes, new_dists):
     """Nodes whose entry under one hub differs between old and new labels.
 
     Both pairs are sorted by node.  Returns the union of nodes present on
@@ -799,7 +775,6 @@ def _resweep_exact(
     Returns ``None`` (caller rebuilds) when too many hubs need re-running,
     or past ``budget_bytes``.  Output is bit-identical to a full rebuild.
     """
-    np = _np()
     if stats is None:
         stats = {}
     stats.update(reruns=0, reused=0, outcome="swept")
@@ -938,7 +913,7 @@ def _resweep_exact(
                 visited[cand] = True
                 touched.append(cand)
                 pruned_at = _prune_query(
-                    np, cand, lab_indptr, lab_hubs, lab_dists, table, block, block_cols, block_vals
+                    cand, lab_indptr, lab_hubs, lab_dists, table, block, block_cols, block_vals
                 )
                 labelled = cand[pruned_at > dist]
                 if labelled.shape[0]:
@@ -953,7 +928,7 @@ def _resweep_exact(
                 lab_changed,
                 lab_changed_adj,
                 _contribution_diff(
-                    np, old_nodes, old_dists, new_nodes, block[new_nodes, j]
+                    old_nodes, old_dists, new_nodes, block[new_nodes, j]
                 ),
             )
             # A non-local mutation (e.g. a long-range shortcut) perturbs a
@@ -967,7 +942,7 @@ def _resweep_exact(
                 stats["outcome"] = "bailed:change-coverage"
                 return None
         lab_indptr, lab_hubs, lab_dists = _merge_block(
-            np, n, lab_indptr, lab_hubs, lab_dists, block, block_ranks
+            n, lab_indptr, lab_hubs, lab_dists, block, block_ranks
         )
         if budget_bytes is not None and _label_nbytes(lab_indptr, lab_hubs, lab_dists) > budget_bytes:
             return None
@@ -1001,7 +976,6 @@ def refresh_label_index(
     (exact mode, connected graphs) the affected-hub resweep stays within its
     re-run bound; patched output is bit-identical to a rebuild.
     """
-    _np()
     generation = graph.generation
     if generation == index.generation and graph.number_of_nodes() == index.num_nodes:
         return index, "fresh"

@@ -447,14 +447,14 @@ class BalancedPathSearch:
         return result
 
     def search_heuristic_indexed(self, source: Node) -> BalancedPathResult:
-        """SBPH search on the CSR backend (requires numpy).
+        """SBPH search on the CSR backend.
 
         Runs :func:`repro.signed.csr.balanced_heuristic_search_csr` on the
         graph's cached CSR view.  The result is bit-identical to
         :meth:`search_heuristic`; only the traversal machinery differs
         (vectorised frontier expansion instead of per-edge Python).
         """
-        from repro.signed.csr import balanced_heuristic_search_csr
+        from repro.signed.csr import balanced_heuristic_search_csr  # cycle: csr imports paths
 
         return balanced_heuristic_search_csr(
             self._graph.csr_view(), source, max_length=self._max_length

@@ -57,8 +57,6 @@ Loading with ``mmap=True`` returns :class:`numpy.memmap` views — cold start
 is the cost of mapping, not of parsing, and concurrent readers of the same
 file share one page-cache copy.  ``mmap=False`` reads the planes into
 ordinary arrays (use it when the file is about to be deleted or rewritten).
-numpy is required for either direction and its absence raises the library's
-standard descriptive :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -69,12 +67,12 @@ import os
 import pickle
 import struct
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.utils.optional import require_numpy
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.signed.csr import CSRSignedGraph
+from repro.signed.csr import CSRSignedGraph
+from repro.signed.labels import LabelIndex
 
 #: First 8 bytes of every store file.
 MAGIC = b"RPROSNAP"
@@ -104,8 +102,7 @@ _LABEL_HEADER = struct.Struct("<8s6q")
 _LABEL_MODE_CODES = {"exact": 0, "landmark": 1}
 _LABEL_MODE_NAMES = {code: name for name, code in _LABEL_MODE_CODES.items()}
 
-#: ``(plane, dtype, itemsize)`` in file order; itemsizes are spelled out so
-#: the layout (and :func:`snapshot_info`) computes without importing numpy.
+#: ``(plane, dtype, itemsize)`` in file order.
 _PLANE_DTYPES = (("indptr", "<i8", 8), ("indices", "<i4", 4), ("signs", "|i1", 1))
 
 
@@ -212,7 +209,7 @@ def _node_table_bytes(nodes: List) -> Tuple[int, bytes]:
     return NODE_TABLE_PICKLE, pickle.dumps(nodes, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
+def save_snapshot(csr: CSRSignedGraph, path: str, labels=None) -> str:
     """Persist ``csr`` to ``path`` in the store format; returns ``path``.
 
     Atomic: the bytes land in a temp sibling that ``os.replace`` promotes, so
@@ -225,9 +222,6 @@ def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
     loaded back as one coherent snapshot by :func:`load_snapshot` +
     :func:`load_labels`).
     """
-    require_numpy("the snapshot store")
-    import numpy as np
-
     indptr = np.ascontiguousarray(csr.indptr, dtype="<i8")
     indices = np.ascontiguousarray(csr.indices, dtype="<i4")
     signs = np.ascontiguousarray(csr.signs, dtype="|i1")
@@ -292,8 +286,6 @@ def save_snapshot(csr: "CSRSignedGraph", path: str, labels=None) -> str:
 
 def _write_label_section(handle, labels, num_nodes: int, base: int) -> None:
     """Append the label section at ``base`` (the end of the base layout)."""
-    import numpy as np
-
     mode_code = _LABEL_MODE_CODES[labels.mode]
     planes = dict(labels.planes())
     num_label_entries = labels.num_entries
@@ -348,7 +340,7 @@ def _read_header(handle: io.BufferedReader, path: str) -> Tuple[int, ...]:
 
 def load_snapshot(
     path: str, mmap: bool = True, node_table: bool = True
-) -> "CSRSignedGraph":
+) -> CSRSignedGraph:
     """Load a store file back into a :class:`CSRSignedGraph`.
 
     With ``mmap=True`` (the default) the three planes are read-only
@@ -363,11 +355,6 @@ def load_snapshot(
     dense placeholders (``nodes = range(n)``, empty index) — the worker-side
     attach, where only the flat arrays matter and the parent re-keys results.
     """
-    require_numpy("the snapshot store")
-    import numpy as np
-
-    from repro.signed.csr import CSRSignedGraph
-
     with open(path, "rb") as handle:
         _version, kind, num_nodes, num_entries, generation, table_nbytes = (
             _read_header(handle, path)
@@ -444,11 +431,6 @@ def load_labels(path: str, mmap: bool = True):
     ``mmap=False``.  Version-1 files and version-2 files saved without
     ``labels`` return ``None``.
     """
-    require_numpy("the snapshot store")
-    import numpy as np
-
-    from repro.signed.labels import LabelIndex
-
     with open(path, "rb") as handle:
         version, _kind, num_nodes, num_entries, _generation, table_nbytes = (
             _read_header(handle, path)
@@ -485,8 +467,8 @@ def snapshot_info(path: str) -> Dict[str, object]:
 
     Powers ``repro-teams snapshot info`` (and its ``--json`` form); raises
     the same :class:`ValueError` diagnostics as :func:`load_snapshot` on
-    non-store or truncated files.  Runs without numpy — the layout computes
-    from the headers alone.  ``"labels"`` summarises the optional label
+    non-store or truncated files.  The layout computes from the headers
+    alone.  ``"labels"`` summarises the optional label
     section (``None`` when the file has none) and its planes join the
     ``"planes"`` map.
     """

@@ -12,14 +12,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.skills.assignment import Skill, SkillAssignment, User
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import require_positive
-
-try:  # optional accelerator — the generators fall back to pure python
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the legacy path tests
-    _np = None
 
 
 def zipf_skill_frequencies(
@@ -75,15 +72,12 @@ def assign_skills_zipf(
     assignments are merged, so the realised average can be slightly below the
     requested one on small universes.
 
-    .. note:: **Seed compatibility.** When numpy is available the per-skill
-       holders are drawn with a vectorised ``numpy.random.Generator`` sampler
-       (the pure-python ``rng.sample`` loop dominated million-node cold
-       starts).  The realised assignment for a given ``seed`` therefore
-       differs from pre-vectorised releases and from the numpy-less fallback
-       — the *distribution* is identical, and a given ``(seed, numpy)``
-       combination remains fully deterministic.  Passing a
-       :class:`random.Random` consumes 64 bits from it to derive the numpy
-       seed, so interleaved callers stay reproducible too.
+    Each skill's holders are one vectorised ``numpy.random.Generator.choice``
+    draw (exact per-skill frequency, clamped to the population, without
+    replacement), and the bidirectional maps are built from grouped index
+    arrays instead of per-pair dict insertions.  Passing a
+    :class:`random.Random` consumes 64 bits from it to derive the numpy seed,
+    so interleaved callers stay reproducible too.
     """
     if not users:
         raise ValueError("users must be non-empty")
@@ -95,55 +89,14 @@ def assign_skills_zipf(
     skill_names = [f"{skill_prefix}-{rank}" for rank in range(1, num_skills + 1)]
     user_list = list(users)
 
-    if _np is not None:
-        return _assign_zipf_vectorised(user_list, frequencies, skill_names, seed)
-
-    rng = ensure_rng(seed)
-    assignment = SkillAssignment()
-    for user in user_list:
-        assignment.add_user(user)
-    for skill, frequency in zip(skill_names, frequencies):
-        holders = (
-            rng.sample(user_list, frequency)
-            if frequency <= len(user_list)
-            else list(user_list)
-        )
-        for user in holders:
-            assignment.add_skill_to_user(user, skill)
-
-    # Guarantee that no user is skill-less (the team-formation workload draws
-    # users by skill, so a skill-less user would simply never be selected, but
-    # downstream statistics are cleaner without them).
-    for user in user_list:
-        if not assignment.skills_of(user):
-            rank = rng.randrange(num_skills)
-            assignment.add_skill_to_user(user, skill_names[rank])
-    return assignment
-
-
-def _assign_zipf_vectorised(
-    user_list: List[User],
-    frequencies: List[int],
-    skill_names: List[str],
-    seed: RandomState,
-) -> SkillAssignment:
-    """Numpy fast path for :func:`assign_skills_zipf`.
-
-    Same semantics as the legacy loop — exact per-skill frequencies (clamped
-    to the population), uniform holders without replacement, no skill-less
-    users — but each skill's holder set is one ``Generator.choice`` call and
-    the bidirectional maps are built from grouped index arrays instead of
-    per-pair dict insertions.
-    """
-    np = _np
     if isinstance(seed, random.Random):
         rng = np.random.default_rng(seed.getrandbits(64))
     else:
-        ensure_rng(seed)  # same seed-type validation as the legacy path
+        ensure_rng(seed)  # the library's seed-type validation
         rng = np.random.default_rng(seed)
 
     num_users = len(user_list)
-    holder_chunks: List["_np.ndarray"] = []
+    holder_chunks: List[np.ndarray] = []
     for frequency in frequencies:
         if frequency >= num_users:
             holder_chunks.append(np.arange(num_users, dtype=np.int64))

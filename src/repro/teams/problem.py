@@ -18,6 +18,7 @@ from repro.compatibility.engine import CompatibilityEngine
 from repro.compatibility.skill_compat import SkillCompatibilityIndex
 from repro.exceptions import InfeasibleTaskError
 from repro.signed.graph import Node, SignedGraph
+from repro.signed.lazy import as_signed_graph
 from repro.skills.assignment import SkillAssignment
 from repro.skills.task import Task
 
@@ -64,8 +65,6 @@ class TeamFormationProblem:
             # A bare CSRSignedGraph adapts to its canonical lazy facade — the
             # same object the relation got from as_signed_graph, so the
             # identity check below still holds for CSR-first construction.
-            from repro.signed.lazy import as_signed_graph
-
             graph = as_signed_graph(graph)
         if relation.graph is not graph:
             raise ValueError("the relation must be defined over the problem's graph")

@@ -15,18 +15,19 @@ own ``ceil(n/8)`` arithmetic; they are now one vocabulary, so the packed
 layout (big-endian bit order, node ``i`` at byte ``i // 8`` bit ``7 - i % 8``
 — numpy's ``packbits`` default) cannot drift between the writer in a worker
 process and the reader in the parent.
-
-numpy is imported lazily: the module is importable on numpy-free installs,
-and every helper that needs numpy raises the library's standard descriptive
-:class:`ImportError` through :func:`repro.utils.optional.require_numpy`.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 #: Bits per word of the word-parallel kernels' frontier/visited state.
 WORD_BITS = 64
+
+#: The 256-entry per-byte popcount table.
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
 
 
 def mask_nbytes(num_bits: int) -> int:
@@ -46,8 +47,6 @@ def pack_mask(mask):
     its default big-endian bit order); :func:`unpack_mask` is its exact
     inverse.
     """
-    import numpy as np
-
     return np.packbits(mask)
 
 
@@ -57,32 +56,13 @@ def unpack_mask(packed, count: int):
     Inverse of :func:`pack_mask`; accepts any buffer of at least
     ``mask_nbytes(count)`` bytes (e.g. a zero-copy result-arena row view).
     """
-    import numpy as np
-
     return np.unpackbits(np.asarray(packed, dtype=np.uint8), count=count).view(np.bool_)
 
 
 def popcount(packed) -> int:
     """Number of set bits in a packed ``uint8`` bitmap."""
-    import numpy as np
-
     return int(np.bincount(np.asarray(packed, dtype=np.uint8), minlength=256)
-               @ _BYTE_POPCOUNT())
-
-
-_BYTE_POPCOUNT_TABLE = None
-
-
-def _BYTE_POPCOUNT():
-    """The 256-entry per-byte popcount table (built once, lazily)."""
-    global _BYTE_POPCOUNT_TABLE
-    if _BYTE_POPCOUNT_TABLE is None:
-        import numpy as np
-
-        _BYTE_POPCOUNT_TABLE = np.array(
-            [bin(byte).count("1") for byte in range(256)], dtype=np.int64
-        )
-    return _BYTE_POPCOUNT_TABLE
+               @ _BYTE_POPCOUNT)
 
 
 def source_bits(count: int):
@@ -91,8 +71,6 @@ def source_bits(count: int):
     The per-source bit assignment of the word-parallel kernels (source ``i``
     of a chunk owns bit ``i``); ``count`` must be at most :data:`WORD_BITS`.
     """
-    import numpy as np
-
     if count > WORD_BITS:
         raise ValueError(f"a word holds {WORD_BITS} sources, got {count}")
     return np.uint64(1) << np.arange(count, dtype=np.uint64)

@@ -124,7 +124,6 @@ class TestTeamCommand:
 
 class TestSnapshotCommand:
     def test_save_load_info_roundtrip(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
         path = str(tmp_path / "toy.store")
         assert main(["snapshot", "save", "toy", path]) == 0
         saved = capsys.readouterr().out
@@ -142,7 +141,6 @@ class TestSnapshotCommand:
         assert "labels" in info and "(none)" in info
 
     def test_save_with_labels_and_json_info(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
         import json
 
         path = str(tmp_path / "toy.store")

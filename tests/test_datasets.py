@@ -175,7 +175,6 @@ class TestLoaderCacheStats:
         reset_cache_stats()
 
     def test_hit_miss_reparse_counters(self, tmp_path, toy):
-        pytest.importorskip("numpy")
         from repro.datasets import cache_stats
 
         edges_path = tmp_path / "net.edges"
@@ -215,7 +214,6 @@ class TestLoaderCacheStats:
         assert cache_stats()["hits"] == 0
 
     def test_debug_logging_names_the_cache_file(self, tmp_path, toy, caplog):
-        pytest.importorskip("numpy")
         import logging
 
         edges_path = tmp_path / "net.edges"

@@ -14,10 +14,6 @@ counterparts, bit for bit:
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -613,62 +609,3 @@ class TestMostCompatibleUnderTinyCache:
             expected = run_algorithm("LCMC", roomy_problem, max_seeds=4, seed=17)
             assert got.team == expected.team
             assert got.cost == expected.cost
-
-
-NUMPY_FREE_SCRIPT = textwrap.dedent(
-    """
-    import sys, warnings
-    sys.modules["numpy"] = None  # simulate a numpy-free install
-    import repro  # must import cleanly without numpy
-    from repro.signed.graph import SignedGraph
-    from repro.compatibility import CompatibilityEngine, make_relation
-
-    graph = SignedGraph.from_edges(
-        [(i, (i + 1) % 40, 1 if i % 4 else -1) for i in range(40)]
-    )
-    relation = make_relation("SPO", graph, backend="dict")
-    assert relation.compatibility_degree(0) >= 0
-
-    big = SignedGraph.from_edges(
-        [(i, (i + 1) % 1500, 1) for i in range(1500)]
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        auto = make_relation("SPO", big)
-        assert auto._use_csr() is False
-        assert any("numpy" in str(w.message) for w in caught), caught
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sbph = make_relation("SBPH", big)
-        assert sbph._use_csr_search() is False
-        assert any("numpy" in str(w.message) for w in caught), caught
-
-    engine = CompatibilityEngine(relation)
-    team = [graph.nodes()[0]]
-    filtered = engine.compatible_from_many(graph.nodes()[:10], team)
-    assert all(relation.are_compatible(team[0], c) for c in filtered)
-
-    try:
-        make_relation("SPO", graph, backend="csr")
-    except ImportError as exc:
-        assert "numpy" in str(exc)
-    else:
-        raise AssertionError("backend='csr' should raise without numpy")
-    print("numpy-free-ok")
-    """
-)
-
-
-def test_numpy_free_degradation(tmp_path):
-    """`import repro`, the dict backend and backend="auto" work without numpy."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    completed = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert "numpy-free-ok" in completed.stdout

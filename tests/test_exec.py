@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.compatibility import (
@@ -241,7 +242,6 @@ class TestPoolExecutor:
         assert reseeded.map_kernel("test_rng", graph, sources) != baseline
 
     def test_csr_kernel_arrays_bit_identical(self, graph):
-        np = pytest.importorskip("numpy")
         csr = graph.csr_view()
         dense = [csr.index_of(node) for node in graph.nodes()[:30]]
         params = {"skip_overflow": True}
@@ -270,7 +270,6 @@ class TestResultArena:
         return csr, [csr.index_of(node) for node in graph.nodes()[:count]]
 
     def test_path_lengths_ship_through_arena_as_owned_rows(self, graph):
-        np = pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr", seed=201))
         csr, dense = self._dense_sources(graph)
         before = executor._handle.arenas_created
@@ -285,7 +284,6 @@ class TestResultArena:
             assert left.base is None
 
     def test_bitmap_rows_decode_as_zero_copy_views(self, graph):
-        pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr", seed=211))
         csr, dense = self._dense_sources(graph)
         pooled = executor.map_kernel(
@@ -301,7 +299,6 @@ class TestResultArena:
             assert left.base is not None
 
     def test_signed_bfs_triples_ship_through_arena(self, graph):
-        np = pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr", seed=202))
         csr, dense = self._dense_sources(graph)
         params = {"skip_overflow": True}
@@ -313,7 +310,6 @@ class TestResultArena:
             assert all(np.array_equal(a, b) for a, b in zip(left, right))
 
     def test_sbph_depths_decode_identical(self, graph):
-        pytest.importorskip("numpy")
         executor = executor_for(pool_policy("csr", seed=203))
         csr, dense = self._dense_sources(graph)
         pooled = executor.map_kernel("csr_sbph", csr, dense, {"max_length": None})
@@ -344,7 +340,6 @@ class TestResultArena:
             assert name not in pool_module._SEGMENT_LEDGER
 
     def test_arena_off_and_budget_exhaustion_fall_back_to_pickles(self, graph):
-        np = pytest.importorskip("numpy")
         serial = serial_executor()
         csr, dense = self._dense_sources(graph)
         expected = serial.map_kernel("csr_path_lengths", csr, dense, {})
@@ -411,7 +406,6 @@ class TestResultArena:
         """Satellite: overflowing sources resolve on the dict backend while
         the rest of the batch keeps its worker-side bitmaps — pooled sets stay
         identical to the serial CSR relation's."""
-        pytest.importorskip("numpy")
         # Doubling ladder: layer k is reached by 2**k shortest paths, so 66
         # layers push the counts past the int64 guard for sources near "s".
         edges = []
@@ -708,7 +702,6 @@ class TestSnapshotStoreMode:
             validate_snapshot_store(123)
 
     def test_store_dispatch_bit_identical_to_shm_and_serial(self, graph, tmp_path):
-        np = pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph, count=20)
         serial = serial_executor()
         shm_exec = executor_for(pool_policy("csr", seed=301))
@@ -740,7 +733,6 @@ class TestSnapshotStoreMode:
                     assert left == right
 
     def test_store_descriptor_and_file_lifecycle(self, graph, tmp_path):
-        pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
             pool_policy("csr", seed=302, snapshot_store=str(tmp_path))
@@ -760,7 +752,6 @@ class TestSnapshotStoreMode:
         assert not pool_module._STORE_FILE_LEDGER
 
     def test_store_results_ship_through_arena(self, graph, tmp_path):
-        pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
             pool_policy("csr", seed=303, snapshot_store=str(tmp_path))
@@ -772,7 +763,6 @@ class TestSnapshotStoreMode:
         assert len(left) == len(dense)
 
     def test_churn_republish_under_store(self, tmp_path):
-        pytest.importorskip("numpy")
         graph, _ = synthetic_signed_network(
             220, average_degree=4.0, negative_fraction=0.25, seed=33
         )
@@ -810,8 +800,6 @@ class TestSnapshotStoreMode:
     def test_save_failure_degrades_to_serial(self, graph, tmp_path, monkeypatch):
         import repro.signed.store as store_module
 
-        pytest.importorskip("numpy")
-
         def exploding_save(csr, path):
             raise OSError("store directory went away")
 
@@ -828,7 +816,6 @@ class TestSnapshotStoreMode:
     def test_worker_crash_leaves_no_stale_store_files(self, graph, tmp_path):
         """Crash injection: a kernel blowing up inside the workers must leave
         the published file governed by the ledger — gone after shutdown."""
-        pytest.importorskip("numpy")
         csr, dense = self._dense_sources(graph)
         executor = executor_for(
             pool_policy("csr", seed=304, snapshot_store=str(tmp_path))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +143,7 @@ class TestVectorisedParseEquivalence:
             ["1 2 1 3", "2 3 -1 weight"],  # extra columns (dict takes first 3)
             ["1 12345678901234567890 1"],  # >int64 but canonical decimal
             ["1-2 3 1"],  # glued sign: a string label to both parsers
+            ["3 7 +"],  # bare sign as the file's last token, all-int labels
         ],
     )
     def test_token_mode_inputs_match_dict_parser(self, tmp_path, lines):

@@ -17,8 +17,8 @@ The load-bearing guarantees, each checked here and property-tested below:
 from __future__ import annotations
 
 import itertools
-import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,15 +28,12 @@ from repro.datasets import synthetic_signed_network
 from repro.exec import ExecutionPolicy, executor_for, shutdown_pools
 from repro.signed import NEGATIVE, POSITIVE, SignedGraph
 from repro.signed.paths import INFINITY
-
-np = pytest.importorskip("numpy")
-
-from repro.signed.csr import (  # noqa: E402  (needs numpy)
+from repro.signed.csr import (
     UNREACHABLE,
     CSRSignedGraph,
     shortest_path_lengths_dense_batch,
 )
-from repro.signed.labels import (  # noqa: E402
+from repro.signed.labels import (
     DEFAULT_NUM_LANDMARKS,
     LabelIndex,
     build_label_index,
@@ -44,7 +41,7 @@ from repro.signed.labels import (  # noqa: E402
     labels_equal,
     refresh_label_index,
 )
-from repro.signed.store import load_labels, save_snapshot  # noqa: E402
+from repro.signed.store import load_labels, save_snapshot
 
 
 SLOW_OK = settings(
@@ -498,32 +495,6 @@ class TestOracleIntegration:
         oracle = DistanceOracle(make_relation("NNE", graph))
         oracle.batch_distance_to_set(graph.nodes(), graph.nodes()[:2])
         assert oracle.index_stats() is None
-
-    def test_numpy_free_labels_degrade_with_runtime_warning(self, monkeypatch):
-        from repro.utils import optional
-
-        graph, _ = synthetic_signed_network(
-            40, average_degree=3.0, negative_fraction=0.2, seed=10
-        )
-        oracle = DistanceOracle(
-            make_relation("NNE", graph, policy=ExecutionPolicy(distance_index="labels"))
-        )
-        plain = DistanceOracle(make_relation("NNE", graph))
-        monkeypatch.setattr(
-            "repro.compatibility.distance.numpy_available", lambda: False
-        )
-        monkeypatch.setattr(
-            optional, "_WARNED_CONTEXTS", set(optional._WARNED_CONTEXTS)
-        )
-        optional._WARNED_CONTEXTS.discard("distance_index='labels'")
-        nodes = graph.nodes()
-        with pytest.warns(RuntimeWarning, match="distance_index='labels'"):
-            degraded = oracle.batch_distance_to_set(nodes, nodes[:2])
-        assert degraded == plain.batch_distance_to_set(nodes, nodes[:2])
-        # The warning fires once, not per query.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            oracle.batch_distance_to_set(nodes, nodes[:2])
 
     def test_explicit_build_and_stale_per_pair_fallback(self):
         graph, _ = synthetic_signed_network(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.skills import (
@@ -65,21 +67,24 @@ class TestAssignSkills:
         with pytest.raises(ValueError):
             assign_skills_zipf([], num_skills=5)
 
-    def test_zipf_legacy_path_matches_contract(self, monkeypatch):
-        # The numpy-less fallback keeps the same guarantees (coverage, rank
-        # monotonicity, determinism) even though its RNG stream differs.
-        import repro.skills.generators as generators
-
-        monkeypatch.setattr(generators, "_np", None)
+    def test_zipf_sampler_matches_contract(self):
+        # Deterministic per seed (an int or a random.Random), no skill-less
+        # user, and popularity decreasing with Zipf rank.
         users = list(range(120))
         first = assign_skills_zipf(users, num_skills=15, skills_per_user=3, seed=9)
         second = assign_skills_zipf(users, num_skills=15, skills_per_user=3, seed=9)
         assert first == second
         assert all(first.skills_of(user) for user in users)
         assert first.skill_frequency("skill-1") > first.skill_frequency("skill-15")
+        seeded = [
+            assign_skills_zipf(
+                users, num_skills=15, skills_per_user=3, seed=random.Random(9)
+            )
+            for _ in range(2)
+        ]
+        assert seeded[0] == seeded[1]
 
     def test_zipf_vectorised_maps_are_consistent(self):
-        pytest.importorskip("numpy")
         users = [f"u{i}" for i in range(150)]
         assignment = assign_skills_zipf(users, num_skills=12, skills_per_user=2.5, seed=4)
         for user in users:

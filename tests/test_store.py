@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,10 +30,7 @@ from repro.utils.bitset import (
     unpack_mask,
     words_for,
 )
-
-np = pytest.importorskip("numpy")
-
-from repro.signed.csr import (  # noqa: E402  (needs numpy)
+from repro.signed.csr import (
     UNREACHABLE,
     CSRSignedGraph,
     multi_source_signed_bfs,
@@ -42,7 +40,7 @@ from repro.signed.csr import (  # noqa: E402  (needs numpy)
     signed_bfs_dense_batch,
     signed_bfs_dense_batch_into,
 )
-from repro.signed.store import (  # noqa: E402
+from repro.signed.store import (
     MAGIC,
     NODE_TABLE_PICKLE,
     NODE_TABLE_RANGE,
@@ -335,20 +333,6 @@ class TestStoreDiagnostics:
             save_snapshot(graph.csr_view(), path)
         # The failed rewrite left the original file untouched.
         assert Path(path).read_bytes() == before
-
-    def test_numpy_free_save_load_raise_clear_importerror(self, tmp_path, monkeypatch):
-        import repro.utils.optional as optional
-
-        graph, _ = synthetic_signed_network(20, average_degree=3.0, negative_fraction=0.2, seed=1)
-        path = str(tmp_path / "g.store")
-        save_snapshot(graph.csr_view(), path)
-        monkeypatch.setattr(optional, "_NUMPY_AVAILABLE", False)
-        with pytest.raises(ImportError, match="snapshot store requires numpy"):
-            load_snapshot(path)
-        with pytest.raises(ImportError, match="snapshot store requires numpy"):
-            save_snapshot(graph.csr_view(), str(tmp_path / "other.store"))
-        # The header-only inspection stays available without numpy.
-        assert snapshot_info(path)["num_nodes"] == 20
 
 
 # ------------------------------------------------------------- label section

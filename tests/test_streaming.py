@@ -95,7 +95,6 @@ class TestCsrOnlyStreaming:
         # Register two datasets over the *same* generation-0 planes: one kept
         # as a CSR facade, one rebuilt as the dict backend.  Bit-identical
         # reports across the pair is the cross-backend acceptance property.
-        pytest.importorskip("numpy")
         from repro.datasets.registry import _FACTORIES, register_dataset
         from repro.datasets.synthetic import SignedDataset, synthetic_csr_network
         from repro.signed import as_signed_graph

@@ -57,7 +57,6 @@ class TestTopKTeams:
     def test_k1_equals_form_team_with_label_index_policy(self, toy):
         """The equivalence holds when the oracle serves distances from the
         hub-label index instead of per-source BFS."""
-        pytest.importorskip("numpy")
         policy = ExecutionPolicy(distance_index="labels")
         problem = make_problem(toy, "NNE", policy=policy)
         plain = make_problem(toy, "NNE")
