@@ -9,7 +9,9 @@ BFS backend; the measured difference is one multi-source team BFS plus vectorise
 pair-rule masks versus one Python-level pair check per (member, candidate).
 
 The multi-source kernel and the SBPH (node, sign)-state search get their own
-timed entries so the CI artifact tracks them release over release.
+timed entries so the CI artifact tracks them release over release, and the
+SBPH search has a ratio gate: a full-source ``csr_sbph`` sweep on the
+1039-node epinions stand-in must run >= 2x faster than the dict search.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import time
 import pytest
 
 from repro.compatibility import CompatibilityEngine, make_relation
-from repro.datasets import synthetic_signed_network
+from repro.datasets import load_dataset, synthetic_signed_network
+from repro.exec import KERNELS
 from repro.signed.csr import multi_source_signed_bfs, signed_bfs_csr
 from repro.signed.csr import balanced_heuristic_search_csr
 from repro.signed.paths import BalancedPathSearch
@@ -177,3 +180,46 @@ def test_perf_sbph_search_csr_vs_dict(benchmark, workload):
     expected = BalancedPathSearch(graph).search_heuristic(source)
     assert result.positive_lengths == expected.positive_lengths
     assert result.negative_lengths == expected.negative_lengths
+
+
+#: The SBPH sweep gate's graph: the 1039-node epinions stand-in that Table 2
+#: sweeps on the sampled engine / CSR branch.
+SBPH_SWEEP_DATASET = {"name": "epinions", "seed": 17, "scale": 0.036}
+
+
+def test_sbph_csr_sweep_speedup_at_least_2x():
+    """Full-source csr_sbph sweep >= 2x the dict search_heuristic, same depths."""
+    graph = load_dataset(**SBPH_SWEEP_DATASET).graph
+    assert graph.number_of_nodes() == 1039
+    csr = graph.csr_view()
+    nodes = graph.nodes()
+    search = BalancedPathSearch(graph)
+
+    def dict_sweep():
+        return [search.search_heuristic(source) for source in nodes]
+
+    def csr_sweep():
+        return KERNELS["csr_sbph"](
+            csr, list(range(len(nodes))), {"max_length": None}
+        )
+
+    dict_elapsed, dict_results = _best_of(2, dict_sweep)
+    csr_elapsed, csr_results = _best_of(2, csr_sweep)
+
+    for expected, (positive_depths, negative_depths) in zip(dict_results, csr_results):
+        assert [(nodes[i], d) for i, d in positive_depths.items()] == list(
+            expected.positive_lengths.items()
+        )
+        assert [(nodes[i], d) for i, d in negative_depths.items()] == list(
+            expected.negative_lengths.items()
+        )
+
+    speedup = dict_elapsed / csr_elapsed
+    print(
+        f"\nSBPH full-source sweep on {len(nodes)} nodes: dict "
+        f"{dict_elapsed:.2f}s, csr_sbph {csr_elapsed:.2f}s, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 2.0, (
+        f"csr_sbph sweep speedup {speedup:.1f}x below the 2x bar "
+        f"(dict {dict_elapsed:.3f}s vs csr_sbph {csr_elapsed:.3f}s)"
+    )

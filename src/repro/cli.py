@@ -515,6 +515,9 @@ def _command_reproduce(arguments: argparse.Namespace) -> int:
 def _command_table2(arguments: argparse.Namespace) -> int:
     result = run_table2(_experiment_config(arguments))
     print(result.as_text())
+    note = result.truncation_note()
+    if note:
+        print(note)
     return 0
 
 

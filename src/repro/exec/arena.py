@@ -53,6 +53,7 @@ from repro.exec.kernels import KERNELS
 from repro.signed.csr import (
     UNREACHABLE,
     balanced_heuristic_depths,
+    sbph_edge_keys,
     shortest_path_lengths_dense_batch_into,
     signed_bfs_dense_batch_into,
 )
@@ -203,9 +204,10 @@ def _write_path_lengths(planes, start, csr, sources, params) -> List:
 def _write_sbph(planes, start, csr, sources, params) -> List:
     max_length = params.get("max_length")
     positive_plane, negative_plane = planes
+    edge_keys = sbph_edge_keys(csr)
     for row, source in enumerate(sources, start=start):
         positive_depths, negative_depths = balanced_heuristic_depths(
-            csr, source, max_length=max_length
+            csr, source, max_length=max_length, edge_keys=edge_keys
         )
         # Sentinel-filled dense rows: absent nodes stay UNREACHABLE, found
         # nodes carry their depth — the parent rebuilds the depth maps from

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Sequence
 from repro.signed.csr import (
     UNREACHABLE,
     balanced_heuristic_depths,
+    sbph_edge_keys,
     shortest_path_lengths_dense_batch,
     signed_bfs_dense_batch,
 )
@@ -94,8 +95,11 @@ def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
     """SBPH heuristic search per dense source: ``(positive_depths,
     negative_depths)`` dicts keyed by dense ids (the caller remaps to nodes)."""
     max_length = params.get("max_length")
+    edge_keys = sbph_edge_keys(csr)
     return [
-        balanced_heuristic_depths(csr, source, max_length=max_length)
+        balanced_heuristic_depths(
+            csr, source, max_length=max_length, edge_keys=edge_keys
+        )
         for source in sources
     ]
 

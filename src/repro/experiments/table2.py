@@ -11,6 +11,8 @@ Like the paper, the exact SBP relation is only evaluated on datasets where it
 is feasible (the Slashdot stand-in); the corresponding cells are left empty
 ("–") elsewhere.  An additional SBP-vs-SBPH agreement figure is recorded for
 the datasets where both are available (the paper reports ~2.5 % disagreement).
+Each cell also counts the sources whose exact SBP search hit its expansion
+cap; :meth:`Table2Result.truncation_note` names those cells.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compatibility import (
     SkillCompatibilityIndex,
+    StructurallyBalancedPathCompatibility,
     average_compatible_distance,
     exact_pair_statistics,
     relation_overlap,
@@ -44,6 +47,9 @@ class Table2Cell:
     compatible_skills_pct: float
     average_distance: float
     compatible_pairs_evaluated: int
+    #: Sources whose exact SBP search hit the expansion cap, so the cell
+    #: under-approximates SBP (always 0 for the other relations).
+    truncated_sources: int = 0
 
 
 @dataclass
@@ -84,6 +90,21 @@ class Table2Result:
                     + [None] * (len(self.relations) - 1)
                 )
         return format_table(headers, rows, title="Table 2")
+
+    def truncation_note(self) -> str:
+        """One line naming the cells with truncated searches, or ``""``."""
+        truncated = [
+            f"{dataset_result.dataset} {relation} ({cell.truncated_sources} sources)"
+            for dataset_result in self.datasets
+            for relation, cell in dataset_result.cells.items()
+            if cell is not None and cell.truncated_sources
+        ]
+        if not truncated:
+            return ""
+        return (
+            "note: the search hit its expansion cap, so these cells "
+            "under-approximate: " + ", ".join(truncated)
+        )
 
 
 def _evaluate_relation(
@@ -133,6 +154,11 @@ def _evaluate_relation(
         compatible_skills_pct=skills_stats.percentage,
         average_distance=average_distance,
         compatible_pairs_evaluated=pairs,
+        truncated_sources=(
+            len(relation.truncated_sources())
+            if isinstance(relation, StructurallyBalancedPathCompatibility)
+            else 0
+        ),
     )
 
 

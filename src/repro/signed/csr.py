@@ -20,10 +20,10 @@ the indexed counterpart used on large graphs:
   smaller one runs per-source traversals;
 * :func:`multi_source_shortest_path_lengths_csr` — the batched counterpart for
   sign-agnostic distances, used by the distance oracle's team sweeps;
-* :func:`balanced_heuristic_search_csr` — the SBPH prefix-property search as an
-  indexed (node, sign)-state BFS: candidate generation and visited-state
-  filtering are vectorised over the whole frontier, and only candidates that
-  can actually claim a new state run the per-path balance check in Python.
+* :func:`balanced_heuristic_search_csr` — the SBPH prefix-property search as a
+  level-synchronous (node, sign)-state BFS: candidate generation,
+  visited-state filtering and the balance check against each candidate's
+  origin path are vectorised over the whole frontier.
   Bit-identical to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
 
 Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
@@ -48,7 +48,6 @@ dict BFS is faster and ``backend="dict"`` should be forced.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -1062,75 +1061,32 @@ def multi_source_shortest_path_lengths_csr(
     )
 
 
-def _extend_camps_csr(
-    adjacency: "_ListAdjacency", camps: Dict[int, int], new_node: int
-) -> Optional[Dict[int, int]]:
-    """Dense-id version of :func:`repro.signed.paths._extend_camps`.
+#: ``(keys, signs)``: every adjacency slot ``(row, col)`` of a snapshot as the
+#: sorted key ``row * n + col``, plus the slot's sign (:func:`sbph_edge_keys`).
+EdgeKeys = Tuple[np.ndarray, np.ndarray]
 
-    ``camps`` is the Harary two-colouring of the representative path's induced
-    subgraph, keyed by dense node id.  The extension is balanced iff every
-    edge from ``new_node`` back into the path agrees on one camp for it.
-    ``adjacency`` is the search's list-converted CSR view — plain Python ints,
-    so the hot membership loop pays no numpy scalar boxing.
+
+def sbph_edge_keys(csr: CSRSignedGraph) -> EdgeKeys:
+    """The sorted edge-key index the SBPH balance check looks edges up in.
+
+    Rows are not guaranteed sorted (snapshots follow adjacency insertion
+    order, and delta-applied rows append), so the keys are argsorted.  Build
+    it once per batch of searches and hand it to
+    :func:`balanced_heuristic_depths` as ``edge_keys``.
     """
-    indptr, indices, signs = adjacency
-    start = indptr[new_node]
-    stop = indptr[new_node + 1]
-    required: Optional[int] = None
-    camps_get = camps.get
-    for position in range(start, stop):
-        camp = camps_get(indices[position])
-        if camp is None:
-            continue
-        expected = camp if signs[position] > 0 else 1 - camp
-        if required is None:
-            required = expected
-        elif required != expected:
-            return None
-    if required is None:
-        required = 0
-    extended = dict(camps)
-    extended[new_node] = required
-    return extended
-
-
-#: ``(indptr, indices, signs)`` of a CSR graph as plain Python lists.
-_ListAdjacency = Tuple[List[int], List[int], List[int]]
-
-#: Minimum candidate degree for which the Harary camp gather is vectorised;
-#: below it the per-edge Python check wins (a handful of numpy calls plus the
-#: scratch-colouring maintenance cost more than the adjacency scan — measured
-#: break-even sits in the several-hundreds).
-_CAMP_BATCH_THRESHOLD = 512
-
-
-def _hub_camp_check(
-    csr: CSRSignedGraph, node: int, camp_scratch: np.ndarray
-) -> Tuple[bool, int]:
-    """Vectorised Harary-extension check for one high-degree candidate.
-
-    ``camp_scratch`` holds the origin path's camp per node (``-1`` off the
-    path; scattered once per origin by the caller).  The extension is
-    balanced iff every on-path neighbour implies the *same* camp for the
-    candidate (positive edge: the neighbour's camp; negative edge: the
-    opposite camp) — exactly :func:`_extend_camps_csr`, but as one adjacency
-    gather plus a min/max reduction instead of a Python loop per edge, which
-    wins once the candidate's degree dwarfs the path length (hubs).  Returns
-    ``(balanced, required_camp)``; the required camp defaults to ``0`` with
-    no on-path neighbour.
-    """
-    start, stop = csr.indptr[node], csr.indptr[node + 1]
-    camps = camp_scratch[csr.indices[start:stop]]
-    on_path = camps >= 0
-    implied = np.where(csr.signs[start:stop] > 0, camps, 1 - camps)[on_path]
-    if implied.size == 0:
-        return True, 0
-    lowest = int(implied.min())
-    return lowest == int(implied.max()), lowest
+    num_nodes = csr.number_of_nodes()
+    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), csr.degrees())
+    keys = rows * num_nodes + csr.indices
+    order = np.argsort(keys, kind="stable")
+    return keys[order], csr.signs[order]
 
 
 def balanced_heuristic_depths(
-    csr: CSRSignedGraph, source_id: int, max_length: Optional[int] = None
+    csr: CSRSignedGraph,
+    source_id: int,
+    max_length: Optional[int] = None,
+    *,
+    edge_keys: Optional[EdgeKeys] = None,
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Dense core of :func:`balanced_heuristic_search_csr`.
 
@@ -1138,8 +1094,64 @@ def balanced_heuristic_depths(
     keyed by dense node ids — no node objects are touched, so the execution
     layer can run the search in worker processes over a shared-memory
     snapshot and remap the depths to node objects in the parent.
+    ``edge_keys`` is :func:`sbph_edge_keys` of ``csr``; it is built here when
+    not given.
     """
-    return _balanced_heuristic_depths(csr, source_id, max_length)
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    if edge_keys is None:
+        edge_keys = sbph_edge_keys(csr)
+    num_nodes = csr.number_of_nodes()
+    bound = max_length if max_length is not None else num_nodes - 1
+    claimed = np.zeros(2 * num_nodes, dtype=bool)
+    claimed[source_id] = True
+    positive_depths: Dict[int, int] = {source_id: 0}
+    negative_depths: Dict[int, int] = {}
+    # Row r is the representative path, as states, of frontier state r.
+    paths = np.array([[source_id]], dtype=np.int64)
+    depth = 0
+    while paths.shape[0] and depth < bound:
+        states = paths[:, -1]
+        targets, edge_signs, _origins, counts = _concatenated_neighbor_ranges(
+            csr, states % num_nodes
+        )
+        if targets.size == 0:
+            break
+        rows = np.repeat(np.arange(states.size), counts)
+        parity = (states[rows] >= num_nodes) ^ (edge_signs < 0)
+        target_states = targets + parity * num_nodes
+        # Drop every candidate whose state an earlier level claimed.
+        open_positions = np.flatnonzero(~claimed[target_states])
+        rows = rows[open_positions]
+        targets = targets[open_positions].astype(np.int64)
+        parity = parity[open_positions]
+        target_states = target_states[open_positions]
+        candidates = (rows, targets, parity)
+        # Round 1: the first candidate of every target state.
+        _, first = np.unique(target_states, return_index=True)
+        winners = _balanced_subset(first, paths, candidates, num_nodes, edge_keys)
+        claimed[target_states[winners]] = True
+        # Round 2: the later candidates of the states round 1 left open; the
+        # first balanced one per state wins.
+        retry = ~claimed[target_states]
+        retry[first] = False
+        pending = np.flatnonzero(retry)
+        if pending.size:
+            balanced = _balanced_subset(
+                pending, paths, candidates, num_nodes, edge_keys
+            )
+            _, earliest = np.unique(target_states[balanced], return_index=True)
+            winners = np.concatenate((winners, balanced[earliest]))
+        winners.sort()  # claim in candidate order, as the dict search does
+        won = target_states[winners]
+        claimed[won] = True
+        depth += 1
+        won_nodes = targets[winners]
+        positive = won < num_nodes
+        positive_depths.update(dict.fromkeys(won_nodes[positive].tolist(), depth))
+        negative_depths.update(dict.fromkeys(won_nodes[~positive].tolist(), depth))
+        paths = np.concatenate((paths[rows[winners]], won[:, None]), axis=1)
+    return positive_depths, negative_depths
 
 
 def balanced_result_from_depths(
@@ -1169,26 +1181,29 @@ def balanced_result_from_depths(
 def balanced_heuristic_search_csr(
     csr: CSRSignedGraph, source: Node, max_length: Optional[int] = None
 ) -> BalancedPathResult:
-    """SBPH's prefix-property search as an indexed (node, sign)-state BFS.
+    """SBPH's prefix-property search as a level-synchronous (node, sign)-state BFS.
 
     State ``i`` encodes ``(node i, positive prefix)``; state ``i + n`` encodes
     ``(node i, negative prefix)`` — the same double-cover layout as
-    :func:`shortest_signed_walk_lengths_csr`.  Each level gathers the whole
-    frontier's adjacency, computes target states and filters already-claimed
-    states with array operations; only the surviving candidates (those that
-    could claim a new representative) run the per-path balance check, in
-    exactly the order the dict search would have reached them (frontier
-    discovery order, then adjacency order).  The balance check itself is
-    degree-adaptive: ordinary candidates run the per-edge Python check
-    (:func:`_extend_camps_csr`), while **hub** candidates — degree at least
-    :data:`_CAMP_BATCH_THRESHOLD` and well above the origin path length —
-    gather their neighbours' camps vectorised through a scratch camp array
-    scattered once per origin path (:func:`_hub_camp_check`).  Both paths
-    compute the same verdict and camp, so the output is **bit-identical** to
-    :meth:`repro.signed.paths.BalancedPathSearch.search_heuristic` — same
-    representative per state, same recorded path lengths.
+    :func:`shortest_signed_walk_lengths_csr`.  Each level holds the
+    frontier's representative paths as one ``(frontier, depth + 1)`` state
+    matrix.  A path's Harary camps are the parities of its states, and an
+    extension's camp is its target state's parity, so the balance check for
+    candidate ``t`` runs over the origin's *path*, not over ``t``'s
+    adjacency: ``t`` must be off the path, and every path state ``s`` with an
+    edge ``{t, node(s)}`` of sign ``σ`` must satisfy
+    ``parity(s) XOR [σ < 0] == parity(t)``.  The edges are looked up with
+    ``searchsorted`` in :func:`sbph_edge_keys`, for a whole level at once.
+
+    The dict search gives each state to the first balanced candidate in
+    frontier-then-adjacency order.  Two rounds keep that rule — the first
+    open candidate of every target state, then every later candidate of the
+    states still unclaimed — and the winners join the next frontier in
+    candidate order.  The output is **bit-identical** to
+    :meth:`repro.signed.paths.BalancedPathSearch.search_heuristic`: same
+    representative per state, same recorded lengths, same insertion order.
     """
-    positive_depths, negative_depths = _balanced_heuristic_depths(
+    positive_depths, negative_depths = balanced_heuristic_depths(
         csr, csr.index_of(source), max_length
     )
     return balanced_result_from_depths(
@@ -1196,107 +1211,34 @@ def balanced_heuristic_search_csr(
     )
 
 
-def _balanced_heuristic_depths(
-    csr: CSRSignedGraph, source_id: int, max_length: Optional[int] = None
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    if max_length is not None and max_length < 0:
-        raise ValueError(f"max_length must be non-negative, got {max_length}")
-    num_nodes = csr.number_of_nodes()
-    bound = max_length if max_length is not None else num_nodes - 1
-    claimed = np.zeros(2 * num_nodes, dtype=bool)
-    claimed[source_id] = True
-    # Scratch Harary colouring for the vectorised hub checks: camp per node
-    # on the last-scattered origin path, -1 elsewhere.  scratch_camps tracks
-    # (by identity) which path's colouring currently occupies it.
-    camp_scratch = np.full(num_nodes, -1, dtype=np.int8)
-    scratch_camps: Optional[Dict[int, int]] = None
-    hub_nodes = csr.degrees() >= _CAMP_BATCH_THRESHOLD
-    has_hubs = bool(hub_nodes.any())
-    #: state id -> (representative path, camps), both in dense ids.
-    representative: Dict[int, Tuple[List[int], Dict[int, int]]] = {
-        source_id: ([source_id], {source_id: 0})
-    }
-    positive_depths: Dict[int, int] = {source_id: 0}
-    negative_depths: Dict[int, int] = {}
-    frontier: List[int] = [source_id]
-    depth = 0
-    # One-time list conversion of the CSR arrays: the per-candidate balance
-    # checks below are pure-Python loops, and list indexing returns cached
-    # small ints instead of boxing a numpy scalar per access.
-    adjacency: _ListAdjacency = (
-        csr.indptr.tolist(),
-        csr.indices.tolist(),
-        csr.signs.tolist(),
-    )
-    indptr_list = adjacency[0]
-    while frontier and depth < bound:
-        states = np.asarray(frontier, dtype=np.int64)
-        node_part = states % num_nodes
-        parity_part = states // num_nodes  # 0 = positive prefix, 1 = negative
-        targets, edge_signs, _origins, counts = _concatenated_neighbor_ranges(
-            csr, node_part
-        )
-        if targets.size == 0:
-            break
-        origin_parity = np.repeat(parity_part, counts)
-        next_parity = np.where(edge_signs > 0, origin_parity, 1 - origin_parity)
-        target_states = targets.astype(np.int64) + next_parity * num_nodes
-        # Vectorised prefilter: drop every edge whose target state was claimed
-        # on an earlier level (the dict search's `state in representative`).
-        open_positions = np.flatnonzero(~claimed[target_states])
-        candidate_array = targets[open_positions]
-        candidate_nodes = candidate_array.tolist()
-        candidate_states = target_states[open_positions].tolist()
-        candidate_origins = np.repeat(states, counts)[open_positions].tolist()
-        # One vectorised gather flags the hub candidates (degree past the
-        # batching threshold); hub-free graphs — the common case — skip even
-        # that and zip a constant, paying nothing for the adaptivity.
-        if has_hubs:
-            hub_flags: Iterable[bool] = hub_nodes[candidate_array].tolist()
-        else:
-            hub_flags = itertools.repeat(False)
-        next_frontier: List[int] = []
-        for t_node, t_state, o_state, is_hub in zip(
-            candidate_nodes, candidate_states, candidate_origins, hub_flags
-        ):
-            if claimed[t_state]:
-                continue  # claimed earlier in this same level
-            path, camps = representative[o_state]
-            if t_node in camps:
-                continue  # revisiting the representative path
-            if is_hub and (
-                indptr_list[t_node + 1] - indptr_list[t_node] >= 4 * len(camps)
-            ):
-                # Hub candidate: the adjacency scan dominates, so gather the
-                # camps vectorised.  The scratch colouring is scattered once
-                # per origin path (identity-tracked) and lazily reset when
-                # the next hub check uses a different origin.
-                if scratch_camps is not camps:
-                    if scratch_camps is not None:
-                        for dense in scratch_camps:
-                            camp_scratch[dense] = -1
-                    for dense, camp in camps.items():
-                        camp_scratch[dense] = camp
-                    scratch_camps = camps
-                balanced, required = _hub_camp_check(csr, t_node, camp_scratch)
-                if not balanced:
-                    continue  # unbalanced extension — prune
-                extended = dict(camps)
-                extended[t_node] = required
-            else:
-                extended = _extend_camps_csr(adjacency, camps, t_node)
-                if extended is None:
-                    continue  # unbalanced extension — prune
-            claimed[t_state] = True
-            representative[t_state] = (path + [t_node], extended)
-            if t_state < num_nodes:
-                positive_depths[t_node] = depth + 1
-            else:
-                negative_depths[t_node] = depth + 1
-            next_frontier.append(t_state)
-        frontier = next_frontier
-        depth += 1
-    return positive_depths, negative_depths
+def _balanced_subset(
+    positions: np.ndarray,
+    paths: np.ndarray,
+    candidates: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    num_nodes: int,
+    edge_keys: EdgeKeys,
+) -> np.ndarray:
+    """The candidate ``positions`` whose extension keeps the path balanced.
+
+    ``candidates`` is ``(rows, targets, parity)``: candidate ``k`` extends
+    path ``paths[rows[k]]`` by node ``targets[k]`` into a state of parity
+    ``parity[k]``.  The path's last column, the origin, is skipped: its edge
+    to the candidate is the extension edge, which implies the target parity
+    by construction (there are no self-loops).  A candidate already on the
+    path needs no test of its own: with its parity on the path its state
+    was claimed on an earlier level, and with the other parity the edge to
+    its successor on the path conflicts.  That successor is never the
+    skipped origin, because the extension edge gives the origin's
+    predecessor its path parity.
+    """
+    keys, key_signs = edge_keys
+    rows, targets, parity = candidates
+    path_states = paths[rows[positions], :-1]
+    lookup = targets[positions, None] * num_nodes + path_states % num_nodes
+    slots = np.minimum(np.searchsorted(keys, lookup), keys.size - 1)
+    implied = (path_states >= num_nodes) ^ (key_signs[slots] < 0)
+    conflict = (keys[slots] == lookup) & (implied != parity[positions, None])
+    return positions[~conflict.any(axis=1)]
 
 
 class CSRLengths:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+from repro.experiments import Table2Cell, Table2DatasetResult, Table2Result
 
 
 class TestParser:
@@ -95,6 +97,29 @@ class TestCompatibilityCommand:
         assert exit_code == 0
         for name in ("SPA", "SPO", "NNE"):
             assert name in captured.out
+
+
+class TestTable2Command:
+    def _result(self, truncated_sources):
+        cell = Table2Cell("SBP", 40.0, 50.0, 2.5, 10, truncated_sources=truncated_sources)
+        return Table2Result(
+            relations=("SBP",),
+            datasets=[Table2DatasetResult("slashdot", cells={"SBP": cell})],
+        )
+
+    @pytest.mark.parametrize("truncated_sources", (0, 113))
+    def test_note_line_only_when_truncated(self, monkeypatch, capsys, truncated_sources):
+        result = self._result(truncated_sources)
+        monkeypatch.setattr(repro.cli, "run_table2", lambda config: result)
+        assert main(["table2", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table_lines = result.as_text().splitlines()
+        assert lines[: len(table_lines)] == table_lines
+        if truncated_sources:
+            assert lines[len(table_lines) :] == [result.truncation_note()]
+            assert "slashdot SBP (113 sources)" in lines[-1]
+        else:
+            assert lines == table_lines
 
 
 class TestTeamCommand:

@@ -29,9 +29,11 @@ from repro.compatibility.shortest_path import (
     CSR_AUTO_THRESHOLD,
 )
 from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_dataset
+from repro.exec import KERNELS, ExecutionPolicy, executor_for, reset_executors
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
     WORDPARALLEL_MIN_SOURCES,
+    balanced_heuristic_depths,
     balanced_heuristic_search_csr,
     multi_source_shortest_path_lengths_csr,
     multi_source_signed_bfs,
@@ -299,15 +301,27 @@ class TestSBPHCSRSearch:
     """The (node, sign)-state CSR search is bit-identical to the dict search."""
 
     def _assert_identical(self, graph, sources=None, max_length=None):
+        # Item lists, not dicts: insertion order must match too.
         search = BalancedPathSearch(graph, max_length=max_length)
         csr = graph.csr_view()
         for source in sources if sources is not None else graph.nodes():
             expected = search.search_heuristic(source)
             got = balanced_heuristic_search_csr(csr, source, max_length=max_length)
-            assert got.positive_lengths == expected.positive_lengths, source
-            assert got.negative_lengths == expected.negative_lengths, source
+            assert list(got.positive_lengths.items()) == list(
+                expected.positive_lengths.items()
+            ), source
+            assert list(got.negative_lengths.items()) == list(
+                expected.negative_lengths.items()
+            ), source
             assert got.exact == expected.exact
             assert got.max_length == expected.max_length
+
+    @staticmethod
+    def _has_unsorted_row(csr):
+        return any(
+            np.any(np.diff(csr.indices[csr.indptr[i] : csr.indptr[i + 1]]) < 0)
+            for i in range(csr.number_of_nodes())
+        )
 
     def test_figure_1b(self, figure_1b):
         self._assert_identical(figure_1b)
@@ -336,6 +350,102 @@ class TestSBPHCSRSearch:
     def test_negative_max_length_rejected(self, two_factions):
         with pytest.raises(ValueError):
             balanced_heuristic_search_csr(two_factions.csr_view(), 0, max_length=-1)
+
+    def test_hub_node(self):
+        # A hub of degree 700 beside a sparse random leaf graph: every level
+        # fans out through the hub, and its candidates' balance checks look
+        # up edges into long origin paths.
+        rng = random.Random(7)
+        graph = SignedGraph()
+        leaves = range(1, 701)
+        for leaf in leaves:
+            graph.add_edge(0, leaf, rng.choice((1, 1, -1)))
+        for _ in range(900):
+            u, v = rng.sample(leaves, 2)
+            if not graph.has_edge(u, v):
+                graph.add_edge(u, v, rng.choice((1, 1, -1)))
+        assert graph.degree(0) >= 600
+        self._assert_identical(graph, sources=[0] + rng.sample(list(leaves), 6))
+
+    def test_unsorted_rows_after_churn(self):
+        # Sorted insertion gives sorted rows; churn patched in through
+        # apply_delta appends to rows, so the snapshot's rows go unsorted.
+        base, _ = planted_factions_graph(60, average_degree=4.0, sign_noise=0.2, seed=8)
+        graph = SignedGraph()
+        for node in sorted(base.nodes()):
+            graph.add_node(node)
+        for u, v, sign in sorted(
+            (min(e.u, e.v), max(e.u, e.v), e.sign) for e in base.edges()
+        ):
+            graph.add_edge(u, v, sign)
+        assert not self._has_unsorted_row(graph.csr_view())
+        rng = random.Random(8)
+        for edge in rng.sample(list(graph.edges()), 6):
+            graph.remove_edge(edge.u, edge.v)
+        nodes = graph.nodes()
+        added = 0
+        while added < 10:
+            u, v = rng.sample(nodes, 2)
+            if not graph.has_edge(u, v):
+                graph.add_edge(u, v, rng.choice((1, -1)))
+                added += 1
+        assert self._has_unsorted_row(graph.csr_view())
+        self._assert_identical(graph)
+
+    def test_unsorted_rows_from_shuffled_edge_list(self, tmp_path):
+        base, _ = planted_factions_graph(60, average_degree=4.0, sign_noise=0.2, seed=9)
+        edges = [f"{e.u} {e.v} {e.sign}" for e in base.edges()]
+        random.Random(9).shuffle(edges)
+        edges_path = tmp_path / "shuffled.edges"
+        edges_path.write_text("\n".join(edges) + "\n")
+        graph = load_snap_dataset(
+            "shuffled", edges_path, num_synthetic_skills=5, seed=1, csr_only=True
+        ).graph
+        assert self._has_unsorted_row(graph.csr_view())
+        self._assert_identical(graph)
+
+    def test_edgeless_graph_and_isolated_source(self, two_factions):
+        self._assert_identical(SignedGraph.from_edges([], nodes=["a", "b", "c"]))
+        graph = two_factions.copy()
+        graph.add_node("isolated")
+        self._assert_identical(graph, sources=["isolated", graph.nodes()[0]])
+
+    def test_max_length_zero(self, two_factions):
+        self._assert_identical(two_factions, max_length=0)
+        result = balanced_heuristic_search_csr(two_factions.csr_view(), 0, max_length=0)
+        assert result.positive_lengths == {0: 0}
+        assert result.negative_lengths == {}
+
+    def test_kernel_chunk_matches_per_source_calls(self):
+        graph, _ = planted_factions_graph(80, average_degree=4.0, sign_noise=0.2, seed=10)
+        csr = graph.csr_view()
+        chunk = list(range(0, 80, 3))
+        for max_length in (None, 3):
+            expected = [
+                balanced_heuristic_depths(csr, source, max_length=max_length)
+                for source in chunk
+            ]
+            got = KERNELS["csr_sbph"](csr, chunk, {"max_length": max_length})
+            assert [(list(p.items()), list(n.items())) for p, n in got] == [
+                (list(p.items()), list(n.items())) for p, n in expected
+            ]
+
+    def test_pooled_arena_shipping_matches_per_source_calls(self):
+        graph, _ = planted_factions_graph(80, average_degree=4.0, sign_noise=0.2, seed=11)
+        csr = graph.csr_view()
+        sources = list(range(80))
+        expected = [balanced_heuristic_depths(csr, source) for source in sources]
+        try:
+            executor = executor_for(
+                ExecutionPolicy(backend="csr", workers=2, min_parallel_sources=1)
+            )
+            before = executor._handle.arenas_created
+            pooled = executor.map_kernel("csr_sbph", csr, sources, {"max_length": None})
+            assert executor._handle.arenas_created == before + 1
+        finally:
+            reset_executors()
+        # Arena rows decode in dense-id order, so compare as dicts.
+        assert pooled == expected
 
     @pytest.mark.parametrize("seed", (3, 4))
     def test_sbph_relation_backends_agree(self, seed):

@@ -143,6 +143,29 @@ class TestTable2:
         for relation in tiny_config.table2_relations:
             assert relation in text
 
+    def test_truncated_sbp_sources_are_counted(self, table2, contexts):
+        # 5k expansions truncate every exact SBP search on the tiny slashdot.
+        num_nodes = contexts["slashdot"].dataset.graph.number_of_nodes()
+        by_name = {entry.dataset: entry for entry in table2.datasets}
+        assert by_name["slashdot"].cells["SBP"].truncated_sources == num_nodes
+        for entry in table2.datasets:
+            for relation, cell in entry.cells.items():
+                if relation != "SBP" and cell is not None:
+                    assert cell.truncated_sources == 0
+        note = table2.truncation_note()
+        assert note.startswith("note: ") and "\n" not in note
+        assert f"slashdot SBP ({num_nodes} sources)" in note
+        assert "note" not in table2.as_text()
+
+    def test_no_truncation_no_note(self):
+        config = ExperimentConfig(
+            datasets=(DatasetConfig(name="toy", seed=0, compute_exact_sbp=True),),
+            table2_relations=("SBP", "SBPH"),
+        )
+        result = run_table2(config)
+        assert result.datasets[0].cells["SBP"].truncated_sources == 0
+        assert result.truncation_note() == ""
+
 
 class TestTable3:
     def test_percentages_structure_and_range(self, tiny_config, contexts):
