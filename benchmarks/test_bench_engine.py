@@ -9,9 +9,12 @@ BFS backend; the measured difference is one multi-source team BFS plus vectorise
 pair-rule masks versus one Python-level pair check per (member, candidate).
 
 The multi-source kernel and the SBPH (node, sign)-state search get their own
-timed entries so the CI artifact tracks them release over release, and the
-SBPH search has a ratio gate: a full-source ``csr_sbph`` sweep on the
-1039-node epinions stand-in must run >= 2x faster than the dict search.
+timed entries so the CI artifact tracks them release over release.  Both
+balanced searches have a ratio gate: a full-source ``csr_sbph`` sweep on the
+1039-node epinions stand-in, and a full-source exact SBP sweep
+(``search_exact(indexed=True)``, 20k expansions) on the 113-node slashdot
+stand-in, must each run >= 2x faster than the dict search, with identical
+results.
 """
 
 from __future__ import annotations
@@ -222,4 +225,42 @@ def test_sbph_csr_sweep_speedup_at_least_2x():
     assert speedup >= 2.0, (
         f"csr_sbph sweep speedup {speedup:.1f}x below the 2x bar "
         f"(dict {dict_elapsed:.3f}s vs csr_sbph {csr_elapsed:.3f}s)"
+    )
+
+
+#: The exact SBP sweep gate's graph and budget: the 113-node slashdot
+#: stand-in and expansion cap of the ``table2`` benchmark workload.
+SBP_SWEEP_DATASET = {"name": "slashdot", "seed": 13, "scale": 0.5}
+SBP_SWEEP_EXPANSIONS = 20_000
+
+
+def test_sbp_csr_sweep_speedup_at_least_2x():
+    """Full-source exact SBP sweep on CSR >= 2x the dict search, same results."""
+    graph = load_dataset(**SBP_SWEEP_DATASET).graph
+    assert graph.number_of_nodes() == 113
+    graph.csr_view()  # build the snapshot outside the timed region
+    nodes = graph.nodes()
+    search = BalancedPathSearch(graph, max_expansions=SBP_SWEEP_EXPANSIONS)
+
+    def sweep(indexed):
+        return [search.search_exact(source, indexed=indexed) for source in nodes]
+
+    dict_elapsed, dict_results = _best_of(2, lambda: sweep(False))
+    csr_elapsed, csr_results = _best_of(2, lambda: sweep(True))
+
+    for expected, got in zip(dict_results, csr_results):
+        assert list(got.positive_lengths.items()) == list(expected.positive_lengths.items())
+        assert list(got.negative_lengths.items()) == list(expected.negative_lengths.items())
+        assert got.truncated == expected.truncated
+    truncated = sum(result.truncated for result in csr_results)
+
+    speedup = dict_elapsed / csr_elapsed
+    print(
+        f"\nexact SBP full-source sweep on {len(nodes)} nodes "
+        f"({SBP_SWEEP_EXPANSIONS} expansions, {truncated} truncated): dict "
+        f"{dict_elapsed:.2f}s, csr {csr_elapsed:.2f}s, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 2.0, (
+        f"exact SBP csr sweep speedup {speedup:.1f}x below the 2x bar "
+        f"(dict {dict_elapsed:.3f}s vs csr {csr_elapsed:.3f}s)"
     )

@@ -37,6 +37,7 @@ from typing import List, Optional, Sequence
 from repro.compatibility import (
     RELATION_NAMES,
     DistanceOracle,
+    StructurallyBalancedPathCompatibility,
     make_relation,
     pair_statistics,
 )
@@ -468,12 +469,22 @@ def _command_compatibility(arguments: argparse.Namespace) -> int:
     dataset = load_dataset(arguments.dataset, seed=arguments.seed, scale=arguments.scale)
     relation_names = [name.strip().upper() for name in arguments.relations.split(",") if name.strip()]
     rows = []
+    truncated = []
     for name in relation_names:
         relation = make_relation(name, dataset.graph)
         stats = pair_statistics(relation)
         rows.append([name, f"{stats.percentage:.2f}", stats.evaluated_pairs, stats.sampled])
+        if isinstance(relation, StructurallyBalancedPathCompatibility):
+            count = len(relation.truncated_sources())
+            if count:
+                truncated.append(f"{name} ({count} sources)")
     headers = ["relation", "compatible pairs %", "pairs evaluated", "sampled"]
     print(format_table(headers, rows, title=f"Compatibility on {dataset.name}"))
+    if truncated:
+        print(
+            "note: the search hit its expansion cap, so these rows "
+            "under-approximate: " + ", ".join(truncated)
+        )
     return 0
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.signed.csr import (
     UNREACHABLE,
+    balanced_exact_depths,
     balanced_heuristic_depths,
     sbph_edge_keys,
     shortest_path_lengths_dense_batch,
@@ -99,6 +100,22 @@ def csr_sbph(csr, sources: Sequence[int], params: dict) -> List:
     return [
         balanced_heuristic_depths(
             csr, source, max_length=max_length, edge_keys=edge_keys
+        )
+        for source in sources
+    ]
+
+
+@register_kernel("csr_sbp")
+def csr_sbp(csr, sources: Sequence[int], params: dict) -> List:
+    """Exact SBP search per dense source: ``(positive_depths,
+    negative_depths, truncated)`` keyed by dense ids (the caller remaps to
+    nodes).  ``params`` mirror :class:`~repro.signed.paths.BalancedPathSearch`."""
+    max_length = params.get("max_length")
+    max_expansions = params.get("max_expansions", 2_000_000)
+    edge_keys = sbph_edge_keys(csr)
+    return [
+        balanced_exact_depths(
+            csr, source, max_length, max_expansions, edge_keys=edge_keys
         )
         for source in sources
     ]
@@ -231,6 +248,7 @@ SERIAL_EQUIVALENTS: Dict[str, str] = {
     "csr_path_lengths": "dict_path_lengths",
     "build_labels": "dict_path_lengths",
     "csr_sbph": "dict_balanced_search",
+    "csr_sbp": "dict_balanced_search",
     "csr_compatible_degrees": "dict_signed_bfs",
     "csr_compatible_masks": "dict_signed_bfs",
 }

@@ -33,9 +33,9 @@ class DatasetConfig:
     compute_exact_sbp: bool = False
     #: Expansion cap for the exact SBP search.
     sbp_max_expansions: int = 200_000
-    #: Backend for the SP* relations' BFS and SBPH's heuristic search:
-    #: "auto" (CSR on large low-diameter graphs), "dict" (reference
-    #: implementation) or "csr" (always indexed).
+    #: Backend for the SP* relations' BFS and the balanced-path searches:
+    #: "auto" (CSR on large low-diameter graphs, and always for exact SBP),
+    #: "dict" (reference implementation) or "csr" (always indexed).
     sp_backend: str = "auto"
     #: Worker processes for the per-source kernel sweeps (0/1 = serial, the
     #: default, so existing invocations are unchanged; >= 2 dispatches to a

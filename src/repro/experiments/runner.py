@@ -108,6 +108,9 @@ def run_all(config: Optional[ExperimentConfig] = None, verbose: bool = True) -> 
     )
     if verbose:
         print(report.as_text())
+        note = table2.truncation_note()
+        if note:
+            print(note)
     return report
 
 

@@ -24,7 +24,11 @@ the indexed counterpart used on large graphs:
   level-synchronous (node, sign)-state BFS: candidate generation,
   visited-state filtering and the balance check against each candidate's
   origin path are vectorised over the whole frontier.
-  Bit-identical to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`.
+  Bit-identical to :meth:`~repro.signed.paths.BalancedPathSearch.search_heuristic`;
+* :func:`balanced_exact_depths` — SBP's exhaustive balanced-path enumeration
+  as a level-synchronous path BFS sharing the SBPH balance check, budget and
+  early exit included.  Identical to
+  :meth:`~repro.signed.paths.BalancedPathSearch.search_exact`.
 
 Results come back as :class:`CSRSignedBFSResult`, an array-backed object that
 answers the same ``length`` / ``counts`` / ``reachable`` queries as
@@ -1067,12 +1071,13 @@ EdgeKeys = Tuple[np.ndarray, np.ndarray]
 
 
 def sbph_edge_keys(csr: CSRSignedGraph) -> EdgeKeys:
-    """The sorted edge-key index the SBPH balance check looks edges up in.
+    """The sorted edge-key index the balanced searches' balance check uses.
 
     Rows are not guaranteed sorted (snapshots follow adjacency insertion
     order, and delta-applied rows append), so the keys are argsorted.  Build
     it once per batch of searches and hand it to
-    :func:`balanced_heuristic_depths` as ``edge_keys``.
+    :func:`balanced_heuristic_depths` or :func:`balanced_exact_depths` as
+    ``edge_keys``.
     """
     num_nodes = csr.number_of_nodes()
     rows = np.repeat(np.arange(num_nodes, dtype=np.int64), csr.degrees())
@@ -1154,23 +1159,120 @@ def balanced_heuristic_depths(
     return positive_depths, negative_depths
 
 
+def balanced_exact_depths(
+    csr: CSRSignedGraph,
+    source_id: int,
+    max_length: Optional[int] = None,
+    max_expansions: int = 2_000_000,
+    *,
+    edge_keys: Optional[EdgeKeys] = None,
+    target_id: Optional[int] = None,
+) -> Tuple[Dict[int, int], Dict[int, int], bool]:
+    """Dense core of the exact SBP search, one level of paths at a time.
+
+    ``search_exact(source, indexed=True)`` and the ``csr_sbp`` kernel run
+    this.  Returns ``(positive_depths, negative_depths, truncated)`` keyed by dense
+    ids, identical (insertion order included) to what
+    :meth:`~repro.signed.paths.BalancedPathSearch.search_exact` records.
+    Each level holds every balanced path of the current length as a row of
+    one ``(paths, depth + 1)`` state matrix — the layout of
+    :func:`balanced_heuristic_depths` — and extends all rows at once, in
+    queue-then-adjacency order:
+
+    * candidates already on their path are dropped explicitly: with no
+      claimed states, :func:`_balanced_subset` would accept one whose path
+      parity matches.  The rest are the expansions the dict search counts;
+    * as many of them as the budget has left are kept, in order; if more
+      exist the result is ``truncated`` and the search stops after this level;
+    * every kept candidate :func:`_balanced_subset` accepts is a path of the
+      next level (balance is hereditary, so this is the only pruning);
+    * the first balanced candidate of each (node, sign) state records its
+      length;
+    * with ``target_id`` the level is cut at the first positive balanced
+      path to that node, and the search stops there.
+    """
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    if max_expansions <= 0:
+        raise ValueError(f"max_expansions must be positive, got {max_expansions}")
+    if edge_keys is None:
+        edge_keys = sbph_edge_keys(csr)
+    num_nodes = csr.number_of_nodes()
+    bound = max_length if max_length is not None else num_nodes - 1
+    recorded = np.zeros(2 * num_nodes, dtype=bool)
+    recorded[source_id] = True
+    positive_depths: Dict[int, int] = {source_id: 0}
+    negative_depths: Dict[int, int] = {}
+    remaining = max_expansions
+    truncated = stop = False
+    paths = np.array([[source_id]], dtype=np.int64)
+    depth = 0
+    while paths.shape[0] and depth < bound:
+        states = paths[:, -1]
+        targets, edge_signs, _origins, counts = _concatenated_neighbor_ranges(
+            csr, states % num_nodes
+        )
+        rows = np.repeat(np.arange(states.size), counts)
+        # int32 node ids halve the (candidates, depth) gather of this test.
+        path_nodes = (paths[:, :-1] % num_nodes).astype(np.int32)
+        off_path = np.flatnonzero((path_nodes[rows] != targets[:, None]).all(axis=1))
+        if off_path.size > remaining:
+            truncated = stop = True
+            off_path = off_path[:remaining]
+        remaining -= off_path.size
+        rows = rows[off_path]
+        targets = targets[off_path].astype(np.int64)
+        parity = (states[rows] >= num_nodes) ^ (edge_signs[off_path] < 0)
+        extended = _balanced_subset(
+            np.arange(rows.size), paths, (rows, targets, parity), num_nodes, edge_keys
+        )
+        new_states = targets[extended] + parity[extended] * num_nodes
+        if target_id is not None:
+            hits = np.flatnonzero(new_states == target_id)
+            if hits.size:
+                # The dict search returns here, before any later expansion.
+                extended = extended[: hits[0] + 1]
+                new_states = new_states[: hits[0] + 1]
+                truncated, stop = False, True
+        fresh = np.flatnonzero(~recorded[new_states])
+        _, first = np.unique(new_states[fresh], return_index=True)
+        won = new_states[np.sort(fresh[first])]
+        recorded[won] = True
+        depth += 1
+        positive = won < num_nodes
+        positive_depths.update(dict.fromkeys(won[positive].tolist(), depth))
+        negative_depths.update(
+            dict.fromkeys((won[~positive] - num_nodes).tolist(), depth)
+        )
+        if stop:
+            break
+        paths = np.concatenate((paths[rows[extended]], new_states[:, None]), axis=1)
+    return positive_depths, negative_depths, truncated
+
+
 def balanced_result_from_depths(
     csr: CSRSignedGraph,
     source: Node,
     positive_depths: Dict[int, int],
     negative_depths: Dict[int, int],
     max_length: Optional[int] = None,
+    *,
+    exact: bool = False,
+    truncated: bool = False,
 ) -> BalancedPathResult:
-    """Re-key dense SBPH depth maps to node objects as a :class:`BalancedPathResult`.
+    """Re-key dense balanced-search depth maps to node objects.
 
-    The single place the dense search output (``balanced_heuristic_depths``,
-    local or shipped back from a worker) becomes the node-keyed result the
-    relations cache — keeping the bound rule and the remap in one spot so the
-    serial and pooled paths cannot drift apart.
+    The single place the dense search output (``balanced_heuristic_depths``
+    or ``balanced_exact_depths``, local or shipped back from a worker)
+    becomes the node-keyed :class:`BalancedPathResult` the relations cache —
+    keeping the bound rule and the remap in one spot so the serial and
+    pooled paths cannot drift apart.
     """
     nodes = csr._nodes
     bound = max_length if max_length is not None else csr.number_of_nodes() - 1
-    result = BalancedPathResult(source=source, exact=False, max_length=bound)
+    result = BalancedPathResult(
+        source=source, exact=exact, max_length=bound, truncated=truncated
+    )
     for dense, length in positive_depths.items():
         result.positive_lengths[nodes[dense]] = length
     for dense, length in negative_depths.items():
@@ -1224,12 +1326,13 @@ def _balanced_subset(
     path ``paths[rows[k]]`` by node ``targets[k]`` into a state of parity
     ``parity[k]``.  The path's last column, the origin, is skipped: its edge
     to the candidate is the extension edge, which implies the target parity
-    by construction (there are no self-loops).  A candidate already on the
-    path needs no test of its own: with its parity on the path its state
-    was claimed on an earlier level, and with the other parity the edge to
-    its successor on the path conflicts.  That successor is never the
-    skipped origin, because the extension edge gives the origin's
-    predecessor its path parity.
+    by construction (there are no self-loops).  In the SBPH search a
+    candidate already on the path needs no test of its own: with its parity
+    on the path its state was claimed on an earlier level, and with the
+    other parity the edge to its successor on the path conflicts.  That
+    successor is never the skipped origin, because the extension edge gives
+    the origin's predecessor its path parity.  The exact search claims no
+    states, so it drops on-path candidates before calling this.
     """
     keys, key_signs = edge_keys
     rows, targets, parity = candidates

@@ -354,16 +354,46 @@ class BalancedPathSearch:
         self._max_length = max_length
         self._max_expansions = max_expansions
 
-    def search_exact(self, source: Node, target: Optional[Node] = None) -> BalancedPathResult:
+    def search_exact(
+        self, source: Node, target: Optional[Node] = None, *, indexed: bool = False
+    ) -> BalancedPathResult:
         """Exhaustively search balanced paths from ``source``.
 
         When ``target`` is given the search stops as soon as a positive
         balanced path to ``target`` has been found (the BFS order guarantees it
         is a shortest one); otherwise the whole graph is explored.
+
+        ``indexed=True`` runs the same enumeration level by level on the
+        graph's cached CSR view (:func:`repro.signed.csr.balanced_exact_depths`);
+        the result is identical, expansion budget and truncation flag
+        included.  The per-path loop below stays as the reference.
         """
         graph = self._graph
         if source not in graph:
             raise NodeNotFoundError(source)
+        if indexed:
+            from repro.signed.csr import (  # cycle: csr imports paths
+                balanced_exact_depths,
+                balanced_result_from_depths,
+            )
+
+            csr = graph.csr_view()
+            positive_depths, negative_depths, truncated = balanced_exact_depths(
+                csr,
+                csr.index_of(source),
+                self._max_length,
+                self._max_expansions,
+                target_id=csr.index_of(target) if target in csr else None,
+            )
+            return balanced_result_from_depths(
+                csr,
+                source,
+                positive_depths,
+                negative_depths,
+                self._max_length,
+                exact=True,
+                truncated=truncated,
+            )
         bound = self._max_length if self._max_length is not None else graph.number_of_nodes() - 1
         result = BalancedPathResult(source=source, exact=True, max_length=bound)
         result.positive_lengths[source] = 0

@@ -6,6 +6,7 @@ import pytest
 
 import repro.cli
 from repro.cli import build_parser, main
+from repro.compatibility import make_relation
 from repro.experiments import Table2Cell, Table2DatasetResult, Table2Result
 
 
@@ -97,6 +98,23 @@ class TestCompatibilityCommand:
         assert exit_code == 0
         for name in ("SPA", "SPO", "NNE"):
             assert name in captured.out
+
+    def test_sbp_truncation_note(self, monkeypatch, capsys):
+        # One expansion truncates every exact SBP search on the toy graph.
+        def capped(name, graph, **kwargs):
+            if name == "SBP":
+                kwargs["max_expansions"] = 1
+            return make_relation(name, graph, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "make_relation", capped)
+        assert main(["compatibility", "toy", "--relations", "SPA,SBP"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("note:")] == [lines[-1]]
+        assert lines[-1].endswith("under-approximate: SBP (12 sources)")
+
+    def test_no_note_without_truncation(self, capsys):
+        assert main(["compatibility", "toy", "--relations", "SBP"]) == 0
+        assert "note:" not in capsys.readouterr().out
 
 
 class TestTable2Command:

@@ -6,6 +6,8 @@ counterparts, bit for bit:
 * the multi-source CSR kernels (word-parallel and per-source) against
   single-source runs and the dict reference implementations;
 * the SBPH (node, sign)-state CSR search against the per-edge dict search;
+* the exact SBP level-synchronous CSR enumeration against the per-path dict
+  search, expansion budget and truncation flag included;
 * the full team-formation algorithms (LCMD / LCMC / RFMD / RFMC) through the
   engine against the legacy per-pair path, on random, synthetic-topology and
   loader-built graphs, under every relation.
@@ -17,6 +19,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compatibility import (
     CompatibilityEngine,
@@ -28,11 +32,17 @@ from repro.compatibility.shortest_path import (
     CSR_AUTO_LEVEL_THRESHOLD,
     CSR_AUTO_THRESHOLD,
 )
-from repro.datasets import load_snap_dataset, synthetic_signed_network, toy_dataset
+from repro.datasets import (
+    load_dataset,
+    load_snap_dataset,
+    synthetic_signed_network,
+    toy_dataset,
+)
 from repro.exec import KERNELS, ExecutionPolicy, executor_for, reset_executors
 from repro.signed import SignedGraph, signed_bfs
 from repro.signed.csr import (
     WORDPARALLEL_MIN_SOURCES,
+    balanced_exact_depths,
     balanced_heuristic_depths,
     balanced_heuristic_search_csr,
     multi_source_shortest_path_lengths_csr,
@@ -297,6 +307,51 @@ class TestBatchedKernels:
                 assert dict(CSRLengths(csr, out[row]).items()) == expected
 
 
+def _has_unsorted_row(csr):
+    return any(
+        np.any(np.diff(csr.indices[csr.indptr[i] : csr.indptr[i + 1]]) < 0)
+        for i in range(csr.number_of_nodes())
+    )
+
+
+def _churned_graph_with_unsorted_rows():
+    """Sorted insertion gives sorted rows; churn patched in through
+    apply_delta appends to rows, so the snapshot's rows go unsorted."""
+    base, _ = planted_factions_graph(60, average_degree=4.0, sign_noise=0.2, seed=8)
+    graph = SignedGraph()
+    for node in sorted(base.nodes()):
+        graph.add_node(node)
+    for u, v, sign in sorted((min(e.u, e.v), max(e.u, e.v), e.sign) for e in base.edges()):
+        graph.add_edge(u, v, sign)
+    assert not _has_unsorted_row(graph.csr_view())
+    rng = random.Random(8)
+    for edge in rng.sample(list(graph.edges()), 6):
+        graph.remove_edge(edge.u, edge.v)
+    nodes = graph.nodes()
+    added = 0
+    while added < 10:
+        u, v = rng.sample(nodes, 2)
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v, rng.choice((1, -1)))
+            added += 1
+    assert _has_unsorted_row(graph.csr_view())
+    return graph
+
+
+def _csr_only_graph_from_shuffled_edges(tmp_path):
+    """A csr_only facade parsed from a shuffled edge list (unsorted rows)."""
+    base, _ = planted_factions_graph(60, average_degree=4.0, sign_noise=0.2, seed=9)
+    edges = [f"{e.u} {e.v} {e.sign}" for e in base.edges()]
+    random.Random(9).shuffle(edges)
+    edges_path = tmp_path / "shuffled.edges"
+    edges_path.write_text("\n".join(edges) + "\n")
+    graph = load_snap_dataset(
+        "shuffled", edges_path, num_synthetic_skills=5, seed=1, csr_only=True
+    ).graph
+    assert _has_unsorted_row(graph.csr_view())
+    return graph
+
+
 class TestSBPHCSRSearch:
     """The (node, sign)-state CSR search is bit-identical to the dict search."""
 
@@ -315,13 +370,6 @@ class TestSBPHCSRSearch:
             ), source
             assert got.exact == expected.exact
             assert got.max_length == expected.max_length
-
-    @staticmethod
-    def _has_unsorted_row(csr):
-        return any(
-            np.any(np.diff(csr.indices[csr.indptr[i] : csr.indptr[i + 1]]) < 0)
-            for i in range(csr.number_of_nodes())
-        )
 
     def test_figure_1b(self, figure_1b):
         self._assert_identical(figure_1b)
@@ -368,41 +416,10 @@ class TestSBPHCSRSearch:
         self._assert_identical(graph, sources=[0] + rng.sample(list(leaves), 6))
 
     def test_unsorted_rows_after_churn(self):
-        # Sorted insertion gives sorted rows; churn patched in through
-        # apply_delta appends to rows, so the snapshot's rows go unsorted.
-        base, _ = planted_factions_graph(60, average_degree=4.0, sign_noise=0.2, seed=8)
-        graph = SignedGraph()
-        for node in sorted(base.nodes()):
-            graph.add_node(node)
-        for u, v, sign in sorted(
-            (min(e.u, e.v), max(e.u, e.v), e.sign) for e in base.edges()
-        ):
-            graph.add_edge(u, v, sign)
-        assert not self._has_unsorted_row(graph.csr_view())
-        rng = random.Random(8)
-        for edge in rng.sample(list(graph.edges()), 6):
-            graph.remove_edge(edge.u, edge.v)
-        nodes = graph.nodes()
-        added = 0
-        while added < 10:
-            u, v = rng.sample(nodes, 2)
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v, rng.choice((1, -1)))
-                added += 1
-        assert self._has_unsorted_row(graph.csr_view())
-        self._assert_identical(graph)
+        self._assert_identical(_churned_graph_with_unsorted_rows())
 
     def test_unsorted_rows_from_shuffled_edge_list(self, tmp_path):
-        base, _ = planted_factions_graph(60, average_degree=4.0, sign_noise=0.2, seed=9)
-        edges = [f"{e.u} {e.v} {e.sign}" for e in base.edges()]
-        random.Random(9).shuffle(edges)
-        edges_path = tmp_path / "shuffled.edges"
-        edges_path.write_text("\n".join(edges) + "\n")
-        graph = load_snap_dataset(
-            "shuffled", edges_path, num_synthetic_skills=5, seed=1, csr_only=True
-        ).graph
-        assert self._has_unsorted_row(graph.csr_view())
-        self._assert_identical(graph)
+        self._assert_identical(_csr_only_graph_from_shuffled_edges(tmp_path))
 
     def test_edgeless_graph_and_isolated_source(self, two_factions):
         self._assert_identical(SignedGraph.from_edges([], nodes=["a", "b", "c"]))
@@ -463,6 +480,183 @@ class TestSBPHCSRSearch:
             assert dict_rel.positive_balanced_distance(
                 u, v
             ) == csr_rel.positive_balanced_distance(u, v)
+
+
+
+
+@st.composite
+def small_signed_graphs(draw):
+    """A random signed graph on 1-12 nodes, possibly disconnected."""
+    num_nodes = draw(st.integers(min_value=1, max_value=12))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_nodes - 1),
+                st.integers(0, num_nodes - 1),
+                st.sampled_from((-1, 1)),
+            ),
+            max_size=30,
+        )
+    )
+    graph = SignedGraph()
+    for node in range(num_nodes):
+        graph.add_node(node)
+    for u, v, sign in pairs:
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, sign)
+    return graph
+
+
+class TestSBPCSRSearch:
+    """The level-synchronous CSR enumeration is identical to the exact dict
+    search: same lengths in the same insertion order, same truncation flag."""
+
+    @staticmethod
+    def _assert_identical(
+        graph, sources=None, max_length=None, max_expansions=2_000_000, targets=(None,)
+    ):
+        search = BalancedPathSearch(
+            graph, max_length=max_length, max_expansions=max_expansions
+        )
+        for source in sources if sources is not None else graph.nodes():
+            for target in targets:
+                expected = search.search_exact(source, target)
+                got = search.search_exact(source, target, indexed=True)
+                key = (source, target)
+                assert list(got.positive_lengths.items()) == list(
+                    expected.positive_lengths.items()
+                ), key
+                assert list(got.negative_lengths.items()) == list(
+                    expected.negative_lengths.items()
+                ), key
+                assert got.truncated == expected.truncated, key
+                assert (got.exact, got.max_length) == (True, expected.max_length)
+
+    @pytest.fixture(scope="class")
+    def slashdot(self):
+        return load_dataset("slashdot", seed=13, scale=0.25).graph
+
+    @pytest.mark.parametrize("max_expansions", (1, 7, 200, 20_000))
+    def test_every_slashdot_source(self, slashdot, max_expansions):
+        # Small budgets cut mid-level, larger ones on level boundaries too.
+        self._assert_identical(slashdot, max_expansions=max_expansions)
+
+    @pytest.mark.parametrize("max_length", (0, 1, 3))
+    def test_length_caps(self, slashdot, max_length):
+        self._assert_identical(slashdot, max_length=max_length, max_expansions=5_000)
+
+    def test_target_early_exit(self, slashdot, prefix_trap_graph):
+        rng = random.Random(5)
+        nodes = slashdot.nodes()
+        for max_expansions in (7, 300, 5_000):
+            self._assert_identical(
+                slashdot,
+                sources=rng.sample(nodes, 6),
+                max_expansions=max_expansions,
+                targets=rng.sample(nodes, 6) + ["absent"],
+            )
+        self._assert_identical(prefix_trap_graph, targets=prefix_trap_graph.nodes())
+
+    def test_figure_graphs(self, figure_1a, figure_1b, prefix_trap_graph, line_graph):
+        for graph in (figure_1a, figure_1b, prefix_trap_graph, line_graph):
+            self._assert_identical(graph)
+            self._assert_identical(graph, max_expansions=3)
+
+    def test_unsorted_rows_after_churn(self):
+        self._assert_identical(_churned_graph_with_unsorted_rows(), max_expansions=3_000)
+
+    def test_unsorted_rows_from_shuffled_edge_list(self, tmp_path):
+        self._assert_identical(
+            _csr_only_graph_from_shuffled_edges(tmp_path), max_expansions=3_000
+        )
+
+    def test_edgeless_graph_and_isolated_source(self, two_factions):
+        self._assert_identical(SignedGraph.from_edges([], nodes=["a", "b", "c"]))
+        graph = two_factions.copy()
+        graph.add_node("isolated")
+        self._assert_identical(graph, sources=["isolated", graph.nodes()[0]])
+
+    def test_budget_ends_on_the_last_level(self):
+        # Source 0 forks to 1 and 2, each with one more neighbour: at 3
+        # expansions and max_length 2, the second level holds two candidates
+        # for one unit of budget, so the search truncates on its last level.
+        graph = SignedGraph.from_edges([(0, 1, 1), (0, 2, -1), (1, 3, 1), (2, 4, -1)])
+        for max_expansions in range(1, 6):
+            self._assert_identical(
+                graph, sources=[0], max_length=2, max_expansions=max_expansions
+            )
+        assert BalancedPathSearch(graph, max_length=2, max_expansions=3).search_exact(
+            0, indexed=True
+        ).truncated
+
+    def test_invalid_arguments_rejected(self, two_factions):
+        csr = two_factions.csr_view()
+        with pytest.raises(ValueError):
+            balanced_exact_depths(csr, 0, max_length=-1)
+        with pytest.raises(ValueError):
+            balanced_exact_depths(csr, 0, max_expansions=0)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        small_signed_graphs(),
+        st.one_of(st.none(), st.integers(0, 4)),
+        st.integers(1, 60),
+    )
+    def test_random_small_graphs(self, graph, max_length, max_expansions):
+        self._assert_identical(
+            graph, max_length=max_length, max_expansions=max_expansions
+        )
+        self._assert_identical(graph, max_length=max_length)
+
+    def test_kernel_chunk_matches_per_source_calls(self, slashdot):
+        csr = slashdot.csr_view()
+        chunk = list(range(0, csr.number_of_nodes(), 3))
+        params = {"max_length": 4, "max_expansions": 500}
+        expected = [
+            balanced_exact_depths(csr, source, 4, 500) for source in chunk
+        ]
+        got = KERNELS["csr_sbp"](csr, chunk, params)
+        assert [(list(p.items()), list(n.items()), t) for p, n, t in got] == [
+            (list(p.items()), list(n.items()), t) for p, n, t in expected
+        ]
+
+    def test_pooled_shipping_matches_per_source_calls(self, slashdot):
+        csr = slashdot.csr_view()
+        sources = list(range(csr.number_of_nodes()))
+        expected = [balanced_exact_depths(csr, source, None, 500) for source in sources]
+        try:
+            executor = executor_for(
+                ExecutionPolicy(backend="csr", workers=2, min_parallel_sources=1)
+            )
+            before = executor._handle.arenas_created
+            pooled = executor.map_kernel(
+                "csr_sbp", csr, sources, {"max_length": None, "max_expansions": 500}
+            )
+            # No arena layout: the results ship pickled.
+            assert executor._handle.arenas_created == before
+        finally:
+            reset_executors()
+        assert [(list(p.items()), list(n.items()), t) for p, n, t in pooled] == [
+            (list(p.items()), list(n.items()), t) for p, n, t in expected
+        ]
+
+    def test_sbp_relation_backends_agree(self, slashdot):
+        dict_rel = make_relation("SBP", slashdot, max_expansions=2_000, backend="dict")
+        auto_rel = make_relation("SBP", slashdot, max_expansions=2_000, backend="auto")
+        assert auto_rel._use_csr_search() and not dict_rel._use_csr_search()
+        for node in slashdot.nodes():
+            assert dict_rel.compatible_with(node) == auto_rel.compatible_with(node)
+        assert dict_rel.truncated_sources() == auto_rel.truncated_sources()
+        assert dict_rel.truncated_sources()
+        # The batched sweep dispatches the csr_sbp kernel instead.
+        swept = make_relation("SBP", slashdot, max_expansions=2_000, backend="auto")
+        nodes = slashdot.nodes()
+        assert swept.batch_compatible_sets(nodes) == [
+            dict_rel.compatible_with(node) for node in nodes
+        ]
+        assert swept.truncated_sources() == dict_rel.truncated_sources()
 
 
 class TestDiameterAdaptiveAuto:

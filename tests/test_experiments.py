@@ -8,6 +8,8 @@ the relaxation ordering of the relations and the monotone effect of task size.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -17,12 +19,15 @@ from repro.experiments import (
     build_dataset_context,
     default_config,
     fast_config,
+    run_all,
     run_figure2ab,
     run_figure2cd,
     run_table1,
     run_table2,
     run_table3,
 )
+
+GOLDEN_TABLE2 = Path(__file__).parent / "golden" / "table2_small.txt"
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +170,91 @@ class TestTable2:
         result = run_table2(config)
         assert result.datasets[0].cells["SBP"].truncated_sources == 0
         assert result.truncation_note() == ""
+
+
+class TestGoldenTable2:
+    """Table 2 of a small seeded config, pinned byte for byte.
+
+    ``tests/golden/table2_small.txt`` holds ``as_text()`` plus
+    ``truncation_note()`` of :meth:`golden_config` on the dict backend
+    (exact SBP truncates on all 56 slashdot sources at 2k
+    expansions).  Regenerate it only for an intended change of the
+    reported numbers, from the repo root::
+
+        PYTHONPATH=src:tests python -c "from test_experiments import \\
+            TestGoldenTable2 as T; print(T.render('dict'), end='')" \\
+            > tests/golden/table2_small.txt
+    """
+
+    @staticmethod
+    def golden_config(sp_backend: str) -> ExperimentConfig:
+        return ExperimentConfig(
+            datasets=(
+                DatasetConfig(
+                    name="slashdot",
+                    seed=1,
+                    scale=0.25,
+                    num_sampled_skill_pairs=100,
+                    compute_exact_sbp=True,
+                    sbp_max_expansions=2_000,
+                    sp_backend=sp_backend,
+                ),
+                DatasetConfig(
+                    name="wikipedia",
+                    seed=1,
+                    scale=0.03,
+                    num_sampled_skill_pairs=100,
+                    sp_backend=sp_backend,
+                ),
+            ),
+        )
+
+    @classmethod
+    def render(cls, sp_backend: str) -> str:
+        result = run_table2(cls.golden_config(sp_backend))
+        return result.as_text() + "\n" + result.truncation_note() + "\n"
+
+    @pytest.mark.parametrize("sp_backend", ("dict", "auto"))
+    def test_matches_golden_file(self, sp_backend):
+        assert self.render(sp_backend) == GOLDEN_TABLE2.read_text()
+
+
+class TestRunAll:
+    def test_truncation_note_printed_after_report(self, capsys):
+        # One expansion truncates every exact SBP search on the toy graph.
+        config = ExperimentConfig(
+            datasets=(
+                DatasetConfig(
+                    name="toy", seed=0, compute_exact_sbp=True, sbp_max_expansions=1
+                ),
+            ),
+            team_dataset="toy",
+            team_algorithms=("LCMD",),
+            num_tasks=2,
+            task_size=2,
+            task_sizes=(2,),
+            max_seeds=2,
+        )
+        report = run_all(config)
+        note = report.table2.truncation_note()
+        assert "toy SBP (" in note
+        assert "note" not in report.as_text()
+        output = capsys.readouterr().out
+        assert output.endswith(report.as_text() + "\n" + note + "\n")
+
+    def test_no_note_without_truncation(self, capsys):
+        config = ExperimentConfig(
+            datasets=(DatasetConfig(name="toy", seed=0, compute_exact_sbp=True),),
+            team_dataset="toy",
+            team_algorithms=("LCMD",),
+            num_tasks=2,
+            task_size=2,
+            task_sizes=(2,),
+            max_seeds=2,
+        )
+        report = run_all(config)
+        assert report.table2.truncation_note() == ""
+        assert capsys.readouterr().out.endswith(report.as_text() + "\n")
 
 
 class TestTable3:
